@@ -13,86 +13,33 @@ oracle for desk-scale ground truth.
 
 from . import errors
 from .certificate import (
-    TAG_INVERTIBLE,
-    TAG_ZERO,
     VerificationError,
     Witness,
     instance_from_json,
     instance_to_json,
     verify_witness,
     witness_from_json,
-    witness_from_matrices,
     witness_to_json,
 )
 from .fields import (
     ExtensionField,
-    Field,
     PrimeField,
     RationalField,
     field_from_json,
     field_from_order,
     field_to_json,
-    find_irreducible,
-    is_irreducible,
     parse_field,
 )
-from .fullrank import (
-    FullRankBasis,
-    build_fullrank_basis,
-    check_fullrank_basis,
-    companion_matrix,
-    fullrank_from_json,
-    fullrank_to_json,
-)
-from .matrix import (
-    Matrix,
-    RrefResult,
-    apply_row_ops,
-    complete_to_invertible,
-    det,
-    inverse,
-    kernel_basis,
-    matrix_from_json,
-    matrix_to_json,
-    matrix_unit,
-    rank,
-    rref,
-    rref_with_ops,
-    span_solve,
-)
-from .oracle import (
-    GlEnumeration,
-    TheoremReport,
-    brute_force_witness,
-    enumerate_gl,
-    exhaustive_theorem_check,
-    report_to_json,
-)
-from .finite_solver import FiniteSolveInstance, solve_finite, solve_instance
-from .rational_solver import (
-    CorrectionRecord,
-    RowDependence,
-    choose_correction_scalar,
-    correct_bad_index,
-    find_row_outside_span,
-    project_and_recurse,
-    row_dependences,
-    solve_column_pair,
-    solve_rational,
-    solve_recursive,
-    solve_unsafe_finite,
-)
+from .fullrank import build_fullrank_basis, check_fullrank_basis, fullrank_from_json, fullrank_to_json
+from .matrix import Matrix
+from .oracle import brute_force_witness, exhaustive_theorem_check, report_to_json
+from .finite_solver import solve_finite
+from .rational_solver import solve_rational, solve_unsafe_finite
 from .subspaces import (
-    FLAG_FULL,
-    FLAG_ZERO,
     Subspace,
     SubspaceVerificationError,
     SubspaceWitness,
-    find_gl_transform,
-    representative_matrix,
-    row_space,
     solve_subspace_dependence,
-    subspace_from_json,
     subspace_to_json,
     subspace_witness_from_json,
     subspace_witness_to_json,
@@ -101,9 +48,9 @@ from .subspaces import (
 
 __version__ = "0.1.0"
 
+# The CLI-level surface; every other helper stays importable from its module.
 __all__ = [
     "errors",
-    "Field",
     "PrimeField",
     "ExtensionField",
     "RationalField",
@@ -111,69 +58,29 @@ __all__ = [
     "field_from_order",
     "field_to_json",
     "field_from_json",
-    "is_irreducible",
-    "find_irreducible",
     "Matrix",
-    "RrefResult",
-    "rref",
-    "rref_with_ops",
-    "apply_row_ops",
-    "rank",
-    "kernel_basis",
-    "det",
-    "inverse",
-    "span_solve",
-    "complete_to_invertible",
-    "matrix_unit",
-    "matrix_to_json",
-    "matrix_from_json",
-    "FullRankBasis",
-    "companion_matrix",
     "build_fullrank_basis",
     "check_fullrank_basis",
     "fullrank_to_json",
     "fullrank_from_json",
     "Witness",
-    "TAG_ZERO",
-    "TAG_INVERTIBLE",
     "VerificationError",
-    "witness_from_matrices",
     "verify_witness",
     "witness_to_json",
     "witness_from_json",
     "instance_to_json",
     "instance_from_json",
-    "FiniteSolveInstance",
-    "solve_instance",
     "solve_finite",
-    "RowDependence",
-    "CorrectionRecord",
     "solve_rational",
-    "solve_recursive",
     "solve_unsafe_finite",
-    "solve_column_pair",
-    "row_dependences",
-    "find_row_outside_span",
-    "project_and_recurse",
-    "correct_bad_index",
-    "choose_correction_scalar",
     "Subspace",
     "SubspaceWitness",
     "SubspaceVerificationError",
-    "FLAG_FULL",
-    "FLAG_ZERO",
-    "row_space",
-    "representative_matrix",
-    "find_gl_transform",
     "solve_subspace_dependence",
     "verify_subspace_witness",
     "subspace_to_json",
-    "subspace_from_json",
     "subspace_witness_to_json",
     "subspace_witness_from_json",
-    "GlEnumeration",
-    "TheoremReport",
-    "enumerate_gl",
     "brute_force_witness",
     "exhaustive_theorem_check",
     "report_to_json",

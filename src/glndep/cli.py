@@ -116,13 +116,16 @@ def _cmd_subspace_solve(args) -> int:
         raise errors.ParseError("subspace input needs 'field', 'ambient', and 'subspaces'")
     field = field_from_json(obj["field"])
     ambient = obj.get("ambient")
-    if type(ambient) is not int:
-        raise errors.ParseError("subspace input needs an integer 'ambient'")
+    if type(ambient) is not int or ambient < 1:
+        raise errors.ParseError("subspace input needs a positive integer 'ambient'")
     dec = field.element_from_json
     family = []
     for rows in obj["subspaces"]:
         if not isinstance(rows, list):
             raise errors.ParseError("each subspace must be a list of spanning rows")
+        for row in rows:
+            if not isinstance(row, list) or len(row) != ambient:
+                raise errors.ParseError(f"each spanning row must be a list of {ambient} entries")
         family.append(Subspace.from_vectors(field, ambient, [[dec(e) for e in row] for row in rows]))
     witness = solve_subspace_dependence(family, args.n)
     if witness is None:

@@ -59,3 +59,13 @@ class SpanExpansionError(Error):
 
 class ExhaustedBoundError(Error):
     """No valid correction scalar found within the scan bound."""
+
+
+class PostconditionError(Error):
+    """A solver post-condition failed (internal bug)."""
+
+
+def check(ok: bool, what: str) -> None:
+    """Raise PostconditionError unless ok; unlike assert, this also runs under python -O."""
+    if not ok:
+        raise PostconditionError(what)

@@ -231,7 +231,7 @@ class ExtensionField(Field):
             raise errors.Error(f"gcd with irreducible modulus has degree > 0: {r0}")
         c = base.inv(r0[0])
         out = [base.mul(c, cf) for cf in s0]
-        assert len(out) <= self.k  # xgcd keeps deg(s) below deg(modulus)
+        errors.check(len(out) <= self.k, "xgcd left a cofactor of degree >= k")
         out += [0] * (self.k - len(out))
         return tuple(out)
 

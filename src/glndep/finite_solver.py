@@ -9,49 +9,39 @@ exists; the canonical first kernel vector makes the output deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import errors
 from .certificate import Witness, witness_from_matrices
 from .fullrank import FullRankBasis, build_fullrank_basis
 from .matrix import Matrix, kernel_basis
 
 
-@dataclass(frozen=True)
-class FiniteSolveInstance:
-    field: object
-    n: int
-    m: int
-    matrices: tuple[Matrix, ...]
-    basis: FullRankBasis
+def solve_finite(matrices, basis: FullRankBasis | None = None) -> Witness:
+    """Witness for k >= m+1 matrices over a finite field.
 
-    @classmethod
-    def build(cls, matrices, basis: FullRankBasis | None = None) -> "FiniteSolveInstance":
-        matrices = tuple(matrices)
-        if not matrices:
-            raise errors.ShapeError("need at least one matrix")
-        field = matrices[0].field
-        if not field.is_finite:
-            raise errors.InfiniteFieldError("the kernel-method solver needs a finite field")
-        n, m = matrices[0].rows, matrices[0].cols
-        for M in matrices:
-            if M.field != field:
-                raise errors.FieldMismatchError("matrices over mixed fields")
-            if M.rows != n or M.cols != m:
-                raise errors.ShapeError("matrices of mixed shapes")
-        if len(matrices) != m + 1:
-            raise errors.ShapeError(f"instance needs exactly {m + 1} matrices, got {len(matrices)}")
-        if basis is None:
-            basis = build_fullrank_basis(field, n)
-        if basis.field != field or basis.n != n:
-            raise ValueError("full-rank basis does not match the instance")
-        return cls(field, n, m, matrices, basis)
+    The first m+1 matrices carry the dependence, with multipliers drawn from
+    the full-rank subspace; any further matrices receive the zero multiplier.
+    """
+    matrices = list(matrices)
+    if not matrices:
+        raise errors.ShapeError("need at least one matrix")
+    field = matrices[0].field
+    n, m = matrices[0].rows, matrices[0].cols
+    if len(matrices) < m + 1:
+        raise errors.TooFewMatricesError(f"need at least {m + 1} matrices of width {m}, got {len(matrices)}")
+    head = matrices[: m + 1]
+    if not field.is_finite:
+        raise errors.InfiniteFieldError("the kernel-method solver needs a finite field")
+    for M in head:
+        if M.field != field:
+            raise errors.FieldMismatchError("matrices over mixed fields")
+        if M.rows != n or M.cols != m:
+            raise errors.ShapeError("matrices of mixed shapes")
+    if basis is None:
+        basis = build_fullrank_basis(field, n)
+    if basis.field != field or basis.n != n:
+        raise ValueError("full-rank basis does not match the instance")
 
-
-def solve_instance(inst: FiniteSolveInstance) -> Witness:
-    """Witness for exactly m+1 matrices, multipliers drawn from the full-rank subspace."""
-    field, n, m = inst.field, inst.n, inst.m
-    products = [[b * M for b in inst.basis.basis] for M in inst.matrices]
+    products = [[b * M for b in basis.basis] for M in head]
     rows = []
     for ell in range(n):
         for c in range(m):
@@ -75,27 +65,7 @@ def solve_instance(inst: FiniteSolveInstance) -> Witness:
         for t in range(n):
             c = coeffs[i * n + t]
             if c != zero:
-                g = g + inst.basis.basis[t].scale(c)
+                g = g + basis.basis[t].scale(c)
         gs.append(g)
+    gs += [Matrix.zero(field, n, n)] * (len(matrices) - m - 1)
     return witness_from_matrices(field, gs)
-
-
-def solve_finite(matrices, basis: FullRankBasis | None = None) -> Witness:
-    """Witness for k >= m+1 matrices over a finite field.
-
-    The first m+1 matrices carry the dependence; any further matrices receive
-    the zero multiplier.
-    """
-    matrices = list(matrices)
-    if not matrices:
-        raise errors.ShapeError("need at least one matrix")
-    m = matrices[0].cols
-    if len(matrices) < m + 1:
-        raise errors.TooFewMatricesError(f"need at least {m + 1} matrices of width {m}, got {len(matrices)}")
-    inst = FiniteSolveInstance.build(matrices[: m + 1], basis)
-    head = solve_instance(inst)
-    if len(matrices) == m + 1:
-        return head
-    zero = Matrix.zero(inst.field, inst.n, inst.n)
-    gs = list(head.entries) + [zero] * (len(matrices) - m - 1)
-    return witness_from_matrices(inst.field, gs)

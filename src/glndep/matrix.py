@@ -1,9 +1,10 @@
-"""Dense exact matrices over a Field, with the elimination kernels used everywhere.
+"""Dense exact matrices over a Field, and the elimination behind every matrix question.
 
 Matrices are immutable row-major tuples of canonical field elements; vectors are
 just 1-row or 1-column matrices (or plain sequences at function boundaries).
-Pivoting is always "first nonzero", never by magnitude, so every result is
-deterministic and reproducible.
+RREF, rank, kernel, determinant, inverse and span solving all read one
+Gauss-Jordan pass.  Pivoting is always "first nonzero", never by magnitude, so
+every result is deterministic and reproducible.
 """
 
 from __future__ import annotations
@@ -147,12 +148,6 @@ class Matrix:
         return f"Matrix({self.field!r}, [{rows}])"
 
 
-def matrix_unit(field: Field, rows: int, cols: int, i: int, j: int) -> Matrix:
-    """The matrix with a single 1 at position (i, j)."""
-    z, o = field.zero, field.one
-    return Matrix(field, tuple(tuple(o if (r, c) == (i, j) else z for c in range(cols)) for r in range(rows)))
-
-
 @dataclass(frozen=True)
 class RrefResult:
     rref: Matrix
@@ -160,75 +155,54 @@ class RrefResult:
     rank: int
 
 
-def rref_with_ops(matrix: Matrix) -> tuple[RrefResult, tuple]:
-    """Reduced row echelon form plus the row operations that produce it.
+def _gauss_jordan(field: Field, rows, limit: int):
+    """The one elimination pass behind every question in this module.
 
-    Each op is ("swap", i, j), ("scale", i, c), or ("addmul", dst, src, c)
-    meaning row[dst] += c * row[src].  Replaying the ops on an identity matrix
-    yields an invertible E with E * matrix == rref.
+    Copies the rows and reduces the copy to reduced row echelon form, taking
+    pivots first-nonzero and only in the leading `limit` columns; the columns
+    after them are carried along, as in an augmented matrix.  Returns the
+    reduced rows (lists), the pivot columns, and the determinant factor: the
+    product of the pivots, negated once per row swap.  For a square matrix
+    with a pivot in every column that factor is its determinant.
     """
-    f = matrix.field
-    z, o = f.zero, f.one
-    work = [list(row) for row in matrix.entries]
-    nrows, ncols = len(work), len(work[0])
-    ops = []
+    z, o = field.zero, field.one
+    add, mul, neg = field.add, field.mul, field.neg
+    work = [list(row) for row in rows]
+    nrows = len(work)
     pivot_cols = []
-    pr = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(pr, nrows):
-            if work[r][col] != z:
-                pivot = r
-                break
+    factor = o
+    for col in range(limit):
+        pr = len(pivot_cols)
+        if pr == nrows:
+            break
+        pivot = next((r for r in range(pr, nrows) if work[r][col] != z), None)
         if pivot is None:
             continue
         if pivot != pr:
             work[pr], work[pivot] = work[pivot], work[pr]
-            ops.append(("swap", pr, pivot))
-        pv = work[pr][col]
+            factor = neg(factor)
+        src = work[pr]
+        pv = src[col]
         if pv != o:
-            factor = f.inv(pv)
-            work[pr] = [f.mul(factor, e) for e in work[pr]]
-            ops.append(("scale", pr, factor))
-        for r in range(nrows):
-            if r != pr and work[r][col] != z:
-                c = f.neg(work[r][col])
-                src = work[pr]
-                work[r] = [f.add(e, f.mul(c, s)) for e, s in zip(work[r], src)]
-                ops.append(("addmul", r, pr, c))
+            factor = mul(factor, pv)
+            scale = field.inv(pv)
+            src = work[pr] = [mul(scale, e) for e in src]
+        for r, row in enumerate(work):
+            c = row[col]
+            if r != pr and c != z:
+                c = neg(c)
+                work[r] = [add(e, mul(c, s)) for e, s in zip(row, src)]
         pivot_cols.append(col)
-        pr += 1
-        if pr == nrows:
-            break
-    reduced = Matrix(f, tuple(tuple(row) for row in work))
-    return RrefResult(reduced, tuple(pivot_cols), pr), tuple(ops)
+    return work, tuple(pivot_cols), factor
 
 
 def rref(matrix: Matrix) -> RrefResult:
-    return rref_with_ops(matrix)[0]
-
-
-def apply_row_ops(matrix: Matrix, ops) -> Matrix:
-    """Replay recorded row operations on another matrix of the same height."""
-    f = matrix.field
-    work = [list(row) for row in matrix.entries]
-    for op in ops:
-        if op[0] == "swap":
-            _, i, j = op
-            work[i], work[j] = work[j], work[i]
-        elif op[0] == "scale":
-            _, i, c = op
-            work[i] = [f.mul(c, e) for e in work[i]]
-        elif op[0] == "addmul":
-            _, dst, src, c = op
-            work[dst] = [f.add(e, f.mul(c, s)) for e, s in zip(work[dst], work[src])]
-        else:
-            raise ValueError(f"unknown row op {op!r}")
-    return Matrix(f, tuple(tuple(row) for row in work))
+    work, pivot_cols, _ = _gauss_jordan(matrix.field, matrix.entries, matrix.cols)
+    return RrefResult(Matrix(matrix.field, tuple(map(tuple, work))), pivot_cols, len(pivot_cols))
 
 
 def rank(matrix: Matrix) -> int:
-    return rref(matrix).rank
+    return len(_gauss_jordan(matrix.field, matrix.entries, matrix.cols)[1])
 
 
 def kernel_basis(matrix: Matrix) -> list[Matrix]:
@@ -239,48 +213,26 @@ def kernel_basis(matrix: Matrix) -> list[Matrix]:
     matrix is injective.
     """
     f = matrix.field
-    res = rref(matrix)
-    pivot_set = set(res.pivot_cols)
-    reduced = res.rref.entries
+    reduced, pivot_cols, _ = _gauss_jordan(f, matrix.entries, matrix.cols)
+    pivot_set = set(pivot_cols)
     basis = []
     for free in range(matrix.cols):
         if free in pivot_set:
             continue
         vec = [f.zero] * matrix.cols
         vec[free] = f.one
-        for t, pc in enumerate(res.pivot_cols):
+        for t, pc in enumerate(pivot_cols):
             vec[pc] = f.neg(reduced[t][free])
         basis.append(Matrix.column(f, vec))
     return basis
 
 
 def det(matrix: Matrix):
-    """Exact determinant by elimination with recorded row swaps."""
+    """Exact determinant: the pivot product of the elimination, signed by its row swaps."""
     if not matrix.is_square:
         raise errors.ShapeError(f"determinant of a {matrix.rows}x{matrix.cols} matrix")
-    f = matrix.field
-    z = f.zero
-    n = matrix.rows
-    work = [list(row) for row in matrix.entries]
-    result = f.one
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if work[r][col] != z:
-                pivot = r
-                break
-        if pivot is None:
-            return z
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            result = f.neg(result)
-        pv = work[col][col]
-        result = f.mul(result, pv)
-        for r in range(col + 1, n):
-            if work[r][col] != z:
-                factor = f.div(work[r][col], pv)
-                work[r] = [f.sub(e, f.mul(factor, s)) for e, s in zip(work[r], work[col])]
-    return result
+    _, pivot_cols, factor = _gauss_jordan(matrix.field, matrix.entries, matrix.cols)
+    return factor if len(pivot_cols) == matrix.rows else matrix.field.zero
 
 
 def inverse(matrix: Matrix) -> Matrix:
@@ -289,11 +241,11 @@ def inverse(matrix: Matrix) -> Matrix:
     f = matrix.field
     n = matrix.rows
     ident = Matrix.identity(f, n)
-    aug = Matrix(f, tuple(r + i for r, i in zip(matrix.entries, ident.entries)))
-    res = rref(aug)
-    if res.pivot_cols[:n] != tuple(range(n)) or res.rank != n:
+    aug = [r + i for r, i in zip(matrix.entries, ident.entries)]
+    work, pivot_cols, _ = _gauss_jordan(f, aug, n)
+    if len(pivot_cols) != n:
         raise ValueError("matrix is singular")
-    return Matrix(f, tuple(row[n:] for row in res.rref.entries))
+    return Matrix(f, tuple(tuple(row[n:]) for row in work))
 
 
 def _flatten_vector(v) -> tuple:
@@ -313,22 +265,36 @@ def span_solve(field: Field, target, generators):
     reduced system), so repeated calls with the same input give identical
     expansions.
     """
-    tgt = _flatten_vector(target)
-    gens = [_flatten_vector(g) for g in generators]
-    for g in gens:
-        if len(g) != len(tgt):
-            raise errors.ShapeError("span_solve vectors have mixed lengths")
-    if not gens:
-        return [] if all(e == field.zero for e in tgt) else None
-    aug = Matrix.from_columns(field, gens + [tgt])
-    res = rref(aug)
+    return span_solve_many(field, [target], generators)[0]
+
+
+def span_solve_many(field: Field, targets, generators) -> list:
+    """span_solve for every target, over one elimination of the generators.
+
+    Eliminates [generators | targets] as columns with pivots only in the
+    generator columns.  A target lies in the span iff its column is zero below
+    the generator rank; its canonical coefficients are read from the pivot
+    rows.  Returns one coefficient list (or None) per target.
+    """
+    gens = [tuple(field.element(e) for e in _flatten_vector(g)) for g in generators]
+    tgts = [tuple(field.element(e) for e in _flatten_vector(t)) for t in targets]
+    if len({len(v) for v in gens + tgts}) > 1:
+        raise errors.ShapeError("span_solve vectors have mixed lengths")
     s = len(gens)
-    if s in res.pivot_cols:
-        return None
-    coeffs = [field.zero] * s
-    for t, pc in enumerate(res.pivot_cols):
-        coeffs[pc] = res.rref.entries[t][s]
-    return coeffs
+    columns = gens + tgts
+    work, pivot_cols, _ = _gauss_jordan(field, zip(*columns), s)
+    r = len(pivot_cols)
+    z = field.zero
+    out = []
+    for col in range(s, len(columns)):
+        if any(row[col] != z for row in work[r:]):
+            out.append(None)
+            continue
+        coeffs = [z] * s
+        for t, pc in enumerate(pivot_cols):
+            coeffs[pc] = work[t][col]
+        out.append(coeffs)
+    return out
 
 
 def complete_to_invertible(field: Field, n: int, vectors) -> Matrix:
@@ -372,6 +338,9 @@ def matrix_from_json(obj) -> Matrix:
             raise errors.ParseError(f"matrix is missing {key!r}")
     field = field_from_json(obj["field"])
     rows, cols = obj["rows"], obj["cols"]
+    for key, value in (("rows", rows), ("cols", cols)):
+        if type(value) is not int or value < 1:
+            raise errors.ParseError(f"matrix {key!r} must be a positive int, got {value!r}")
     entries = obj["entries"]
     if not isinstance(entries, list) or len(entries) != rows:
         raise errors.ParseError(f"matrix 'entries' must be a list of {rows} rows")

@@ -23,11 +23,13 @@ beyond the first m+1 receive the zero multiplier):
 All choices (kernel vectors, span expansions, scan order, smallest bad index
 first) are canonical, so witnesses are reproducible byte for byte.
 
-The same recursion runs over a finite field via solve_recursive, where the
+The same recursion runs over a finite field via solve_unsafe_finite, where the
 scalar scan walks the field's nonzero elements instead and can genuinely
-exhaust them (ExhaustedBoundError).  solve_unsafe_finite wraps that mode
-behind the cardinality guard |K| > n*(m+2) and falls back to the kernel-method
-solver if the scan ever exhausts.
+exhaust them (ExhaustedBoundError).  It guards the cardinality |K| > n*(m+2)
+and falls back to the kernel-method solver if the scan ever exhausts.
+
+Post-conditions are explicit checks raising PostconditionError, so they also
+run under python -O.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from typing import Callable, Optional
 from . import errors
 from .certificate import Witness, witness_from_matrices
 from .fields import Field, RationalField
-from .matrix import Matrix, complete_to_invertible, det, inverse, kernel_basis, rref, span_solve
+from .matrix import Matrix, complete_to_invertible, det, inverse, kernel_basis, rref, span_solve_many
 from .finite_solver import solve_finite
 
 
@@ -69,16 +71,6 @@ def solve_rational(matrices, observer: Observer = None) -> Witness:
     if matrices and not isinstance(matrices[0].field, RationalField):
         raise ValueError("solve_rational expects rational matrices; see solve_finite / solve_unsafe_finite")
     return _solve_entry(matrices, observer)
-
-
-def solve_recursive(matrices, observer: Observer = None) -> Witness:
-    """The recursive algorithm over any exact field.
-
-    Experimental for finite fields: the correction-scalar scan can exhaust a
-    small field (ExhaustedBoundError).  Prefer solve_unsafe_finite, which
-    guards the cardinality and falls back to solve_finite.
-    """
-    return _solve_entry(list(matrices), observer)
 
 
 def solve_unsafe_finite(matrices, observer: Observer = None) -> Witness:
@@ -123,7 +115,7 @@ def _solve_entry(matrices: list[Matrix], observer: Observer) -> Witness:
     gs = _solve_core(matrices[: m + 1], observer)
     gs += [zero_g] * (k - m - 1)
     witness = witness_from_matrices(field, gs)
-    assert _weighted_sum(witness.entries, matrices).is_zero()
+    errors.check(_weighted_sum(witness.entries, matrices).is_zero(), "the witness sum is nonzero")
     return witness
 
 
@@ -155,7 +147,7 @@ def _solve_core(matrices: list[Matrix], observer: Observer) -> list[Matrix]:
         Matrix.from_rows(field, [[deps[r].coeffs[i] if r == c else zero for c in range(n)] for r in range(n)])
         for i in range(m + 1)
     ]
-    assert _weighted_sum(gs, matrices).is_zero()
+    errors.check(_weighted_sum(gs, matrices).is_zero(), "the row-dependence multipliers do not sum to zero")
     if all(det(g) != zero for g in gs):
         return gs
 
@@ -169,8 +161,9 @@ def _solve_core(matrices: list[Matrix], observer: Observer) -> list[Matrix]:
             return gs
         j = bad[0]
         gs, record = correct_bad_index(matrices, gs, j)
-        assert _weighted_sum(gs, matrices).is_zero()
-        assert record.good_before < record.good_after
+        errors.check(_weighted_sum(gs, matrices).is_zero(), f"correcting index {j} broke the witness sum")
+        # Strict growth of the invertible set is what bounds the loop.
+        errors.check(record.good_before < record.good_after, f"correcting index {j} made no progress")
         if observer is not None:
             observer(record)
 
@@ -193,7 +186,7 @@ def solve_column_pair(w1: Matrix, w2: Matrix) -> Witness:
     onto_w1 = complete_to_invertible(field, n, [w1])
     onto_w2 = complete_to_invertible(field, n, [w2])
     g = onto_w2 * inverse(onto_w1)
-    assert g * w1 == w2
+    errors.check(g * w1 == w2, "the column map does not send w1 onto w2")
     return witness_from_matrices(field, [g, -ident])
 
 
@@ -217,16 +210,24 @@ def row_dependences(matrices) -> list[RowDependence]:
     return out
 
 
+def _expand_rows(matrices, j: int) -> list:
+    """Rows of M_j over the rows of the other matrices, with one elimination.
+
+    Entry ell is the canonical coefficient list of row ell of M_j over the
+    generators (row r of M_i at position pos*n + r, pos counting the other
+    matrices in order), or None when that row lies outside their span.
+    """
+    generators = [row for i, M in enumerate(matrices) if i != j for row in M.entries]
+    return span_solve_many(matrices[0].field, matrices[j].entries, generators)
+
+
 def find_row_outside_span(matrices) -> tuple[int, int] | None:
     """Smallest (j, ell) with row ell of matrix j outside the span of every row
     of the other matrices, or None when no such pair exists."""
     matrices = list(matrices)
-    field = matrices[0].field
-    n = matrices[0].rows
     for j in range(len(matrices)):
-        generators = [M.entries[r] for i, M in enumerate(matrices) if i != j for r in range(n)]
-        for ell in range(n):
-            if span_solve(field, matrices[j].entries[ell], generators) is None:
+        for ell, coeffs in enumerate(_expand_rows(matrices, j)):
+            if coeffs is None:
                 return j, ell
     return None
 
@@ -244,27 +245,22 @@ def project_and_recurse(matrices, j: int, observer: Observer = None) -> list[Mat
     field = matrices[0].field
     n, m = matrices[0].rows, matrices[0].cols
     others = [M for i, M in enumerate(matrices) if i != j]
-    stacked = Matrix.from_rows(field, [row for M in others for row in M.entries])
-    reduced = rref(stacked)
+    rows = [row for M in others for row in M.entries]
+    reduced = rref(Matrix(field, tuple(rows)))
     basis_rows = [reduced.rref.entries[t] for t in range(reduced.rank)]
     r = len(basis_rows)
     if r > m - 1:
         raise errors.InternalSpanError(f"span of the other rows has dimension {r}, expected <= {m - 1}")
-    projected = []
-    for M in others:
-        coord_rows = []
-        for row in M.entries:
-            coords = span_solve(field, row, basis_rows)
-            if coords is None:
-                raise errors.InternalSpanError("row of a kept matrix fell outside its own span")
-            coord_rows.append(coords)
-        projected.append(Matrix.from_rows(field, coord_rows))
+    coords = span_solve_many(field, rows, basis_rows)
+    if None in coords:
+        raise errors.InternalSpanError("row of a kept matrix fell outside its own span")
+    projected = [Matrix.from_rows(field, coords[pos * n : (pos + 1) * n]) for pos in range(len(others))]
     recursive = _solve_entry(projected, observer)
     lifted = []
     it = iter(recursive.entries)
     for i in range(m + 1):
         lifted.append(Matrix.zero(field, n, n) if i == j else next(it))
-    assert _weighted_sum(lifted, matrices).is_zero()
+    errors.check(_weighted_sum(lifted, matrices).is_zero(), "the lifted multipliers do not sum to zero")
     return lifted
 
 
@@ -287,15 +283,11 @@ def correct_bad_index(matrices, gs, j: int) -> tuple[list[Matrix], CorrectionRec
         raise ValueError(f"index {j} is not singular")
 
     others = [i for i in range(len(matrices)) if i != j]
-    generators = [matrices[i].entries[r] for i in others for r in range(n)]
-    alpha_rows = []
-    for ell in range(n):
-        coeffs = span_solve(field, matrices[j].entries[ell], generators)
-        if coeffs is None:
-            raise errors.SpanExpansionError(
-                f"row {ell} of matrix {j} is not in the span of the other matrices' rows"
-            )
-        alpha_rows.append(coeffs)
+    alpha_rows = _expand_rows(matrices, j)
+    if None in alpha_rows:
+        raise errors.SpanExpansionError(
+            f"row {alpha_rows.index(None)} of matrix {j} is not in the span of the other matrices' rows"
+        )
     corrections = {}
     for pos, i in enumerate(others):
         corrections[i] = Matrix.from_rows(
@@ -314,7 +306,10 @@ def correct_bad_index(matrices, gs, j: int) -> tuple[list[Matrix], CorrectionRec
     for i in others:
         new_gs[i] = gs[i] - corrections[i].scale(x)
     good_after = frozenset(i for i, g in enumerate(new_gs) if det(g) != zero)
-    assert j in good_after and good_before <= good_after
+    errors.check(
+        j in good_after and good_before <= good_after,
+        f"correcting index {j} left it singular or lost an invertible multiplier",
+    )
     record = CorrectionRecord(j, x, len(conditions), good_before, good_after, tuple(new_gs))
     return new_gs, record
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from . import errors
 from .certificate import TAG_ZERO
 from .fields import Field, field_from_json, field_to_json
-from .matrix import Matrix, complete_to_invertible, det, inverse, rref, span_solve
+from .matrix import Matrix, complete_to_invertible, det, inverse, rref, span_solve, span_solve_many
 from .oracle import brute_force_witness
 from .finite_solver import solve_finite
 from .rational_solver import solve_rational
@@ -114,18 +114,15 @@ def find_gl_transform(m1: Matrix, m2: Matrix) -> Matrix | None:
     basis_rows = list(space.basis)
 
     def coordinate_columns(matrix: Matrix) -> list[tuple]:
-        rows = []
-        for row in matrix.entries:
-            coords = span_solve(field, row, basis_rows)
-            if coords is None:
-                raise errors.InternalSpanError("matrix row escaped its own row space")
-            rows.append(coords)
+        rows = span_solve_many(field, matrix.entries, basis_rows)
+        if None in rows:
+            raise errors.InternalSpanError("matrix row escaped its own row space")
         return [tuple(r[t] for r in rows) for t in range(space.dim)]
 
     p1 = complete_to_invertible(field, n, coordinate_columns(m1))
     p2 = complete_to_invertible(field, n, coordinate_columns(m2))
     g = p2 * inverse(p1)
-    assert det(g) != field.zero and g * m1 == m2
+    errors.check(det(g) != field.zero and g * m1 == m2, "the transform is singular or misses m2")
     return g
 
 

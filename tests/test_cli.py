@@ -205,6 +205,35 @@ def test_subspace_solve_independent(tmp_path):
     assert json.loads(out.read_text())["dependent"] is False
 
 
+def _solve_exit_code(tmp_path, **matrix_overrides):
+    obj = instance_to_json(GF2, unit_pair(GF2))
+    obj["matrices"][0].update(matrix_overrides)
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(obj))
+    return main(["solve", "--field", "prime:2", "--input", str(inst)])
+
+
+def test_matrix_with_zero_rows_is_input_error(tmp_path):
+    assert _solve_exit_code(tmp_path, rows=0, entries=[]) == 3
+
+
+def test_matrix_with_zero_cols_is_input_error(tmp_path):
+    assert _solve_exit_code(tmp_path, cols=0, entries=[[], []]) == 3
+
+
+def test_subspace_row_of_wrong_length_is_input_error(tmp_path):
+    inp = tmp_path / "family.json"
+    family = {
+        "field": {"kind": "prime", "p": 2},
+        "ambient": 2,
+        "subspaces": [[["1", "0"]], [["0", "1", "1"]], [["1", "1"]]],
+    }
+    inp.write_text(json.dumps(family))
+    assert main(["subspace-solve", "--input", str(inp), "--n", "1"]) == 3
+    inp.write_text(json.dumps(dict(family, ambient=0, subspaces=[[], []])))
+    assert main(["subspace-solve", "--input", str(inp), "--n", "1"]) == 3
+
+
 def test_console_entry_point():
     import subprocess
     import sys

@@ -10,18 +10,16 @@ from glndep import errors
 from glndep.fields import ExtensionField, PrimeField, RationalField
 from glndep.matrix import (
     Matrix,
-    apply_row_ops,
     complete_to_invertible,
     det,
     inverse,
     kernel_basis,
     matrix_from_json,
     matrix_to_json,
-    matrix_unit,
     rank,
     rref,
-    rref_with_ops,
     span_solve,
+    span_solve_many,
 )
 
 GF2 = PrimeField(2)
@@ -59,7 +57,6 @@ def test_basic_ops_and_shapes():
     ident = Matrix.identity(GF3, 2)
     assert ident * m == m
     assert m + m.scale(GF3.neg(GF3.one)) == Matrix.zero(GF3, 2, 2)
-    assert matrix_unit(GF3, 2, 3, 1, 2).entries == ((0, 0, 0), (0, 0, 1))
     with pytest.raises(errors.ShapeError):
         m * Matrix.from_rows(GF3, [[1, 0, 0]])
     with pytest.raises(errors.FieldMismatchError):
@@ -101,10 +98,13 @@ def test_rref_is_row_equivalent(field):
     rng = random.Random(11)
     for _ in range(30):
         m = random_matrix(rng, field, rng.randint(1, 4), rng.randint(1, 4))
-        res, ops = rref_with_ops(m)
-        e = apply_row_ops(Matrix.identity(field, m.rows), ops)
-        assert e * m == res.rref
-        assert det(e) != field.zero
+        res = rref(m)
+        assert res.rank == rank(m)
+        # each row of the RREF lies in m's row span and vice versa
+        for row in res.rref.entries:
+            assert span_solve(field, row, m.entries) is not None
+        for row in m.entries:
+            assert span_solve(field, row, res.rref.entries) is not None
 
 
 # kernel
@@ -149,7 +149,7 @@ def test_det_examples():
         det(Matrix.zero(QQ, 2, 3))
 
 
-@pytest.mark.parametrize("field", [GF3, QQ])
+@pytest.mark.parametrize("field", [GF3, QQ, GF4])
 def test_det_multiplicative(field):
     rng = random.Random(17)
     for _ in range(30):
@@ -224,6 +224,26 @@ def test_span_solve_matches_rank_criterion(field):
             for c, gen in zip(coeffs, gens):
                 combo = [field.add(x, field.mul(c, e)) for x, e in zip(combo, gen)]
             assert tuple(combo) == target
+
+
+@pytest.mark.parametrize("field", [GF2, GF4, QQ])
+def test_span_solve_many_matches_span_solve(field):
+    # An out-of-span target ahead of later ones: pivoting in target columns as
+    # well would take the last target, in the span of the generators and the
+    # first target only, for a member of the span.
+    z, o = field.zero, field.one
+    gens = [(o, z, z)]
+    targets = [(z, o, z), (o, z, z), (o, o, z)]
+    assert span_solve_many(field, targets, gens) == [None, [o], None]
+    rng = random.Random(37)
+    for _ in range(40):
+        length = rng.randint(1, 4)
+        pool = [tuple(random_matrix(rng, field, 1, length).entries[0]) for _ in range(3)]
+        gens = [rng.choice(pool) for _ in range(rng.randint(0, 4))]
+        targets = [tuple(random_matrix(rng, field, 1, length).entries[0]) for _ in range(rng.randint(0, 3))]
+        targets += [rng.choice(pool) for _ in range(rng.randint(0, 3))]
+        rng.shuffle(targets)
+        assert span_solve_many(field, targets, gens) == [span_solve(field, t, gens) for t in targets]
 
 
 # completion to an invertible matrix

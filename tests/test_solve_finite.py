@@ -12,7 +12,7 @@ from glndep.fields import ExtensionField, PrimeField
 from glndep.fullrank import build_fullrank_basis
 from glndep.matrix import Matrix, span_solve
 from glndep.oracle import brute_force_witness
-from glndep.finite_solver import FiniteSolveInstance, solve_finite, solve_instance
+from glndep.finite_solver import solve_finite
 
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)
@@ -99,22 +99,13 @@ def test_rejects_infinite_field():
 
 
 def test_instance_validation():
-    with pytest.raises(errors.ShapeError):
-        FiniteSolveInstance.build([Matrix.identity(GF2, 2)])  # needs m+1 = 3
     mixed = [Matrix.identity(GF2, 2), Matrix.identity(GF3, 2), Matrix.identity(GF2, 2)]
     with pytest.raises(errors.FieldMismatchError):
-        FiniteSolveInstance.build(mixed)
+        solve_finite(mixed)
     wrong_basis = build_fullrank_basis(GF2, 3)
     ms = [Matrix.identity(GF2, 2)] * 3
     with pytest.raises(ValueError):
-        FiniteSolveInstance.build(ms, basis=wrong_basis)
-
-
-def test_solve_instance_matches_solve_finite():
-    rng = random.Random(53)
-    mats = [random_matrix(rng, GF3, 2, 1) for _ in range(2)]
-    inst = FiniteSolveInstance.build(mats)
-    assert solve_instance(inst) == solve_finite(mats)
+        solve_finite(ms, basis=wrong_basis)
 
 
 def test_deterministic_output():

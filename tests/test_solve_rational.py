@@ -18,7 +18,6 @@ from glndep.rational_solver import (
     row_dependences,
     solve_column_pair,
     solve_rational,
-    solve_recursive,
     solve_unsafe_finite,
 )
 
@@ -299,10 +298,11 @@ def test_choose_scalar_respects_scan_bound():
 # experimental finite-field mode
 
 def test_recursive_mode_exhausts_tiny_field():
+    # over GF(2) the only candidate is x = 1, and det(I + 1*I) = det(0) = 0
     gf2 = PrimeField(2)
     ident = Matrix.identity(gf2, 2)
     with pytest.raises(errors.ExhaustedBoundError):
-        solve_recursive([ident, ident, ident])
+        choose_correction_scalar(gf2, [(ident, ident)])
 
 
 def test_unsafe_finite_guard_rejects_small_fields():
@@ -333,6 +333,33 @@ def test_unsafe_finite_falls_back_on_exhaustion(monkeypatch):
     monkeypatch.setattr(sr, "_solve_entry", always_exhausted)
     witness = sr.solve_unsafe_finite(mats)
     verify_witness(mats, witness)
+
+
+def test_postcondition_checks_survive_optimize_flag():
+    # A forced violation must raise even under python -O, which strips asserts.
+    import os
+    import subprocess
+    import sys
+
+    import glndep
+
+    script = "\n".join([
+        "import glndep.rational_solver as rs",
+        "from glndep.errors import PostconditionError",
+        "from glndep.fields import RationalField",
+        "from glndep.matrix import Matrix",
+        "QQ = RationalField()",
+        "rs._weighted_sum = lambda gs, ms: Matrix.identity(QQ, 1)",
+        "try:",
+        "    rs.solve_rational([Matrix.identity(QQ, 1), Matrix.identity(QQ, 1)])",
+        "except PostconditionError as exc:",
+        "    print('PostconditionError:', exc)",
+    ])
+    src = os.path.dirname(os.path.dirname(glndep.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("PostconditionError:")
 
 
 def test_unsafe_finite_rejects_rational_matrices():
