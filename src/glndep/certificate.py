@@ -153,6 +153,23 @@ def instance_to_json(field: Field, matrices) -> dict:
     return {"field": field_to_json(field), "matrices": [matrix_to_json(M) for M in matrices]}
 
 
+def _check_instance(matrices: list[Matrix]) -> tuple[Field, int, int]:
+    """(field, n, m) of a solvable instance: k >= m+1 matrices of one shape n x m
+    over one field."""
+    if not matrices:
+        raise errors.ShapeError("need at least one matrix")
+    field = matrices[0].field
+    n, m = matrices[0].rows, matrices[0].cols
+    for M in matrices:
+        if M.field != field:
+            raise errors.FieldMismatchError("matrices over mixed fields")
+        if M.rows != n or M.cols != m:
+            raise errors.ShapeError("matrices of mixed shapes")
+    if len(matrices) < m + 1:
+        raise errors.TooFewMatricesError(f"need at least {m + 1} matrices of width {m}, got {len(matrices)}")
+    return field, n, m
+
+
 def instance_from_json(obj) -> tuple[Field, list[Matrix]]:
     if not isinstance(obj, dict):
         raise errors.ParseError(f"instance must be an object, got {obj!r}")

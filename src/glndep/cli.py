@@ -29,8 +29,8 @@ from .oracle import brute_force_witness, exhaustive_theorem_check, report_to_jso
 from .finite_solver import solve_finite
 from .rational_solver import solve_rational, solve_unsafe_finite
 from .subspaces import (
-    Subspace,
     SubspaceVerificationError,
+    _subspaces_from_rows,
     solve_subspace_dependence,
     subspace_witness_to_json,
 )
@@ -114,19 +114,7 @@ def _cmd_subspace_solve(args) -> int:
     obj = _read_json(args.input)
     if not isinstance(obj, dict) or "field" not in obj or "subspaces" not in obj:
         raise errors.ParseError("subspace input needs 'field', 'ambient', and 'subspaces'")
-    field = field_from_json(obj["field"])
-    ambient = obj.get("ambient")
-    if type(ambient) is not int or ambient < 1:
-        raise errors.ParseError("subspace input needs a positive integer 'ambient'")
-    dec = field.element_from_json
-    family = []
-    for rows in obj["subspaces"]:
-        if not isinstance(rows, list):
-            raise errors.ParseError("each subspace must be a list of spanning rows")
-        for row in rows:
-            if not isinstance(row, list) or len(row) != ambient:
-                raise errors.ParseError(f"each spanning row must be a list of {ambient} entries")
-        family.append(Subspace.from_vectors(field, ambient, [[dec(e) for e in row] for row in rows]))
+    family = _subspaces_from_rows(field_from_json(obj["field"]), obj.get("ambient"), obj["subspaces"])
     witness = solve_subspace_dependence(family, args.n)
     if witness is None:
         _emit({"dependent": False}, args.output)

@@ -17,10 +17,6 @@ class InfiniteFieldError(Error):
     """A finite-only operation was asked of an infinite field."""
 
 
-class NoIrreducibleError(Error):
-    """Irreducible-polynomial search exhausted its space (internal bug)."""
-
-
 class ParseError(Error):
     """Malformed JSON data for a field, matrix, witness, or subspace."""
 
@@ -43,14 +39,6 @@ class TooFewMatricesError(Error):
 
 class DimensionTooLargeError(Error):
     """A subspace has dimension larger than the multiplier size n."""
-
-
-class InternalRankError(Error):
-    """A guaranteed-nonzero kernel came back empty (internal bug)."""
-
-
-class InternalSpanError(Error):
-    """A vector fell outside a span it must belong to (internal bug)."""
 
 
 class SpanExpansionError(Error):

@@ -227,8 +227,7 @@ class ExtensionField(Field):
             q, r = poly_divmod(base, r0, r1)
             r0, r1 = r1, r
             s0, s1 = s1, poly_sub(base, s0, poly_mul(base, q, s1))
-        if len(r0) != 1:
-            raise errors.Error(f"gcd with irreducible modulus has degree > 0: {r0}")
+        errors.check(len(r0) == 1, "gcd with the irreducible modulus has degree > 0")
         c = base.inv(r0[0])
         out = [base.mul(c, cf) for cf in s0]
         errors.check(len(out) <= self.k, "xgcd left a cofactor of degree >= k")
@@ -497,9 +496,6 @@ def find_irreducible(field: Field, degree: int) -> tuple:
         raise errors.InfiniteFieldError("irreducible search needs a finite field")
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
-    for cand in monic_polynomials(field, degree):
-        if is_irreducible(field, cand):
-            return tuple(cand)
-    raise errors.NoIrreducibleError(
-        f"no irreducible of degree {degree} over {field!r}; the search is buggy"
-    )
+    found = next((tuple(c) for c in monic_polynomials(field, degree) if is_irreducible(field, c)), None)
+    errors.check(found is not None, f"no irreducible of degree {degree} over {field!r}; the search is buggy")
+    return found

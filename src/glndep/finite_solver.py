@@ -10,7 +10,7 @@ exists; the canonical first kernel vector makes the output deterministic.
 from __future__ import annotations
 
 from . import errors
-from .certificate import Witness, witness_from_matrices
+from .certificate import Witness, _check_instance, witness_from_matrices
 from .fullrank import FullRankBasis, build_fullrank_basis
 from .matrix import Matrix, kernel_basis
 
@@ -22,20 +22,10 @@ def solve_finite(matrices, basis: FullRankBasis | None = None) -> Witness:
     the full-rank subspace; any further matrices receive the zero multiplier.
     """
     matrices = list(matrices)
-    if not matrices:
-        raise errors.ShapeError("need at least one matrix")
-    field = matrices[0].field
-    n, m = matrices[0].rows, matrices[0].cols
-    if len(matrices) < m + 1:
-        raise errors.TooFewMatricesError(f"need at least {m + 1} matrices of width {m}, got {len(matrices)}")
+    field, n, m = _check_instance(matrices)
     head = matrices[: m + 1]
     if not field.is_finite:
         raise errors.InfiniteFieldError("the kernel-method solver needs a finite field")
-    for M in head:
-        if M.field != field:
-            raise errors.FieldMismatchError("matrices over mixed fields")
-        if M.rows != n or M.cols != m:
-            raise errors.ShapeError("matrices of mixed shapes")
     if basis is None:
         basis = build_fullrank_basis(field, n)
     if basis.field != field or basis.n != n:
@@ -53,10 +43,7 @@ def solve_finite(matrices, basis: FullRankBasis | None = None) -> Witness:
             rows.append(tuple(row))
     system = Matrix(field, tuple(rows))
     kernel = kernel_basis(system)
-    if not kernel:
-        raise errors.InternalRankError(
-            f"({m + 1})*{n} unknowns vs {m * n} equations left no kernel vector"
-        )
+    errors.check(bool(kernel), f"({m + 1})*{n} unknowns vs {m * n} equations left no kernel vector")
     coeffs = kernel[0].column_tuple(0)
     zero = field.zero
     gs = []

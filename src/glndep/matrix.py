@@ -79,12 +79,6 @@ class Matrix:
         if self.field != other.field:
             raise errors.FieldMismatchError(f"{self.field!r} vs {other.field!r}")
 
-    def entry(self, i: int, j: int):
-        return self.entries[i][j]
-
-    def row_tuple(self, i: int) -> tuple:
-        return self.entries[i]
-
     def column_tuple(self, j: int) -> tuple:
         return tuple(row[j] for row in self.entries)
 

@@ -4,21 +4,23 @@ Outline, for k >= m+1 matrices of shape n x m (a zero input matrix immediately
 yields a witness with the identity on it and zeros elsewhere; extra matrices
 beyond the first m+1 receive the zero multiplier):
 
-* n == 1: matrices are row vectors, so the canonical kernel vector of the
-  stacked columns is a scalar dependence.
-* m == 1: matrices are nonzero columns, and some invertible g maps the first
-  onto the second, giving the witness (g, -I).
-* otherwise, solve each row slice by the n == 1 case and assemble diagonal
-  multipliers g_i with sum(g_i M_i) == 0.  If they are all invertible, done.
-  If some matrix j owns a row outside the span of every other matrix's rows,
-  drop it (g_j = 0), rewrite the other matrices in coordinates of that span
-  (strictly fewer columns) and recurse; per-row coordinate change commutes
-  with left multiplication, so the recursive witness lifts verbatim.
-  Otherwise each singular g_j is repaired in turn: g_j gains x*I and every
-  other g_i pays x times the matrix of coefficients expressing the rows of
-  M_j over its own rows, which preserves the sum.  Each determinant that must
-  stay nonzero is a nonzero polynomial of degree at most n in x, so scanning
-  x = 1, 2, ... finds a good value within n*(number of conditions) + 1 steps.
+* m == 1 and n > 1: matrices are nonzero columns, and some invertible g maps the
+  first onto the second, giving the witness (g, -I).
+* otherwise, take the canonical kernel vector of each row slice (m+1 rows of
+  width m) and assemble diagonal multipliers g_i with sum(g_i M_i) == 0.  They
+  are the answer when n == 1 (each 1 x 1 multiplier is zero or invertible) or
+  when all of them are invertible.  If some matrix j owns a row outside the span of
+  every other matrix's rows, drop it (g_j = 0), rewrite the other matrices in
+  coordinates of that span (strictly fewer columns) and recurse; per-row
+  coordinate change commutes with left multiplication, so the recursive
+  witness lifts verbatim.  Otherwise each singular g_j is repaired in turn:
+  g_j gains x*I and every other g_i pays x times the matrix of coefficients
+  expressing the rows of M_j over its own rows, which preserves the sum.  Each
+  determinant that must stay nonzero is a nonzero polynomial of degree at most
+  n in x, so scanning x = 1, 2, ... finds a good value within
+  n*(number of conditions) + 1 steps.  The row expansions come from the
+  outside-span scan, and the invertible set of each round from the fresh
+  determinants of the round before.
 
 All choices (kernel vectors, span expansions, scan order, smallest bad index
 first) are canonical, so witnesses are reproducible byte for byte.
@@ -38,17 +40,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import errors
-from .certificate import Witness, witness_from_matrices
+from .certificate import Witness, _check_instance, witness_from_matrices
 from .fields import Field, RationalField
 from .matrix import Matrix, complete_to_invertible, det, inverse, kernel_basis, rref, span_solve_many
 from .finite_solver import solve_finite
-
-
-@dataclass(frozen=True)
-class RowDependence:
-    """Scalar dependence among the row-k slices of the input matrices."""
-    row: int
-    coeffs: tuple
 
 
 @dataclass(frozen=True)
@@ -76,12 +71,9 @@ def solve_rational(matrices, observer: Observer = None) -> Witness:
 def solve_unsafe_finite(matrices, observer: Observer = None) -> Witness:
     """Run the recursive algorithm over a finite field, guarded and with fallback."""
     matrices = list(matrices)
-    if not matrices:
-        raise errors.ShapeError("need at least one matrix")
-    field = matrices[0].field
+    field, n, m = _check_instance(matrices)
     if not field.is_finite:
         raise ValueError("solve_unsafe_finite expects a finite field; use solve_rational")
-    n, m = matrices[0].rows, matrices[0].cols
     if field.cardinality <= n * (m + 2):
         raise ValueError(
             f"field of size {field.cardinality} is too small for the recursive mode "
@@ -94,18 +86,8 @@ def solve_unsafe_finite(matrices, observer: Observer = None) -> Witness:
 
 
 def _solve_entry(matrices: list[Matrix], observer: Observer) -> Witness:
-    if not matrices:
-        raise errors.ShapeError("need at least one matrix")
-    field = matrices[0].field
-    n, m = matrices[0].rows, matrices[0].cols
-    for M in matrices:
-        if M.field != field:
-            raise errors.FieldMismatchError("matrices over mixed fields")
-        if M.rows != n or M.cols != m:
-            raise errors.ShapeError("matrices of mixed shapes")
+    field, n, m = _check_instance(matrices)
     k = len(matrices)
-    if k < m + 1:
-        raise errors.TooFewMatricesError(f"need at least {m + 1} matrices of width {m}, got {k}")
     zero_g = Matrix.zero(field, n, n)
     for j, M in enumerate(matrices):
         if M.is_zero():
@@ -131,41 +113,34 @@ def _solve_core(matrices: list[Matrix], observer: Observer) -> list[Matrix]:
     """Multipliers for exactly m+1 nonzero matrices."""
     field = matrices[0].field
     n, m = matrices[0].rows, matrices[0].cols
-    if n == 1:
-        columns = Matrix.from_rows(field, [[M.entries[0][c] for M in matrices] for c in range(m)])
-        kernel = kernel_basis(columns)
-        if not kernel:
-            raise errors.InternalRankError(f"{m + 1} columns of height {m} left no kernel vector")
-        coeffs = kernel[0].column_tuple(0)
-        return [Matrix(field, ((c,),)) for c in coeffs]
-    if m == 1:
+    if m == 1 and n > 1:
         return list(solve_column_pair(matrices[0], matrices[1]).entries)
 
     zero = field.zero
     deps = row_dependences(matrices)
     gs = [
-        Matrix.from_rows(field, [[deps[r].coeffs[i] if r == c else zero for c in range(n)] for r in range(n)])
+        Matrix.from_rows(field, [[deps[r][i] if r == c else zero for c in range(n)] for r in range(n)])
         for i in range(m + 1)
     ]
     errors.check(_weighted_sum(gs, matrices).is_zero(), "the row-dependence multipliers do not sum to zero")
-    if all(det(g) != zero for g in gs):
+    good = frozenset(i for i, g in enumerate(gs) if det(g) != zero)
+    if n == 1 or len(good) == m + 1:
         return gs
 
-    hit = find_row_outside_span(matrices)
+    hit, expansions = find_row_outside_span(matrices)
     if hit is not None:
         return project_and_recurse(matrices, hit[0], observer)
 
-    while True:
-        bad = [i for i, g in enumerate(gs) if det(g) == zero]
-        if not bad:
-            return gs
-        j = bad[0]
-        gs, record = correct_bad_index(matrices, gs, j)
+    # correct_bad_index checks that the invertible set strictly grows, which
+    # bounds the loop.
+    while len(good) <= m:
+        j = min(i for i in range(m + 1) if i not in good)
+        gs, record = correct_bad_index(gs, good, j, expansions[j])
         errors.check(_weighted_sum(gs, matrices).is_zero(), f"correcting index {j} broke the witness sum")
-        # Strict growth of the invertible set is what bounds the loop.
-        errors.check(record.good_before < record.good_after, f"correcting index {j} made no progress")
+        good = record.good_after
         if observer is not None:
             observer(record)
+    return gs
 
 
 def solve_column_pair(w1: Matrix, w2: Matrix) -> Witness:
@@ -190,8 +165,8 @@ def solve_column_pair(w1: Matrix, w2: Matrix) -> Witness:
     return witness_from_matrices(field, [g, -ident])
 
 
-def row_dependences(matrices) -> list[RowDependence]:
-    """Canonical scalar dependence of the row-r slices, for each r.
+def row_dependences(matrices) -> list[tuple]:
+    """Canonical scalar dependence of the row-r slices, one coefficient tuple per r.
 
     The m+1 rows of width m are always dependent, so each kernel is nonzero;
     the diagonal matrices built from these coefficients sum against the input
@@ -204,9 +179,8 @@ def row_dependences(matrices) -> list[RowDependence]:
     for r in range(n):
         stacked = Matrix.from_rows(field, [[M.entries[r][c] for M in matrices] for c in range(m)])
         kernel = kernel_basis(stacked)
-        if not kernel:
-            raise errors.InternalRankError(f"row slice {r}: {m + 1} vectors of length {m} are independent")
-        out.append(RowDependence(r, kernel[0].column_tuple(0)))
+        errors.check(bool(kernel), f"row slice {r}: {m + 1} vectors of length {m} are independent")
+        out.append(kernel[0].column_tuple(0))
     return out
 
 
@@ -221,15 +195,18 @@ def _expand_rows(matrices, j: int) -> list:
     return span_solve_many(matrices[0].field, matrices[j].entries, generators)
 
 
-def find_row_outside_span(matrices) -> tuple[int, int] | None:
+def find_row_outside_span(matrices) -> tuple[tuple[int, int] | None, list]:
     """Smallest (j, ell) with row ell of matrix j outside the span of every row
-    of the other matrices, or None when no such pair exists."""
+    of the other matrices, or None when no such pair exists, together with the
+    row expansions (see _expand_rows) of every matrix scanned: all of them
+    when the hit is None, the ones up to matrix j otherwise."""
     matrices = list(matrices)
+    expansions = []
     for j in range(len(matrices)):
-        for ell, coeffs in enumerate(_expand_rows(matrices, j)):
-            if coeffs is None:
-                return j, ell
-    return None
+        expansions.append(_expand_rows(matrices, j))
+        if None in expansions[j]:
+            return (j, expansions[j].index(None)), expansions
+    return None, expansions
 
 
 def project_and_recurse(matrices, j: int, observer: Observer = None) -> list[Matrix]:
@@ -249,11 +226,9 @@ def project_and_recurse(matrices, j: int, observer: Observer = None) -> list[Mat
     reduced = rref(Matrix(field, tuple(rows)))
     basis_rows = [reduced.rref.entries[t] for t in range(reduced.rank)]
     r = len(basis_rows)
-    if r > m - 1:
-        raise errors.InternalSpanError(f"span of the other rows has dimension {r}, expected <= {m - 1}")
+    errors.check(r <= m - 1, f"span of the other rows has dimension {r}, expected <= {m - 1}")
     coords = span_solve_many(field, rows, basis_rows)
-    if None in coords:
-        raise errors.InternalSpanError("row of a kept matrix fell outside its own span")
+    errors.check(None not in coords, "row of a kept matrix fell outside its own span")
     projected = [Matrix.from_rows(field, coords[pos * n : (pos + 1) * n]) for pos in range(len(others))]
     recursive = _solve_entry(projected, observer)
     lifted = []
@@ -264,26 +239,23 @@ def project_and_recurse(matrices, j: int, observer: Observer = None) -> list[Mat
     return lifted
 
 
-def correct_bad_index(matrices, gs, j: int) -> tuple[list[Matrix], CorrectionRecord]:
+def correct_bad_index(gs, good: frozenset, j: int, alpha_rows) -> tuple[list[Matrix], CorrectionRecord]:
     """Repair the singular multiplier g_j while preserving the witness equation.
 
-    Every row of M_j must be expressible over the other matrices' rows.  With
-    alpha the per-row expansion coefficients, g_j += x*I and
-    g_i -= x * A_i (A_i collecting the coefficients on M_i's rows) keep the
-    weighted sum at zero for any x; x is chosen so g_j becomes invertible and
-    no previously invertible g_i degenerates.
+    good is the set of indices whose g_i is invertible, and alpha_rows the row
+    expansions of M_j over the other matrices' rows (see _expand_rows); every
+    row of M_j must have one.  g_j += x*I and g_i -= x * A_i (A_i collecting
+    the coefficients on M_i's rows) keep the weighted sum at zero for any x;
+    x is chosen so g_j becomes invertible and no invertible g_i degenerates,
+    which fresh determinants of the new multipliers confirm.
     """
-    matrices = list(matrices)
-    gs = list(gs)
-    field = matrices[0].field
-    n = matrices[0].rows
+    field = gs[0].field
+    n = gs[0].rows
     zero = field.zero
-    good_before = frozenset(i for i, g in enumerate(gs) if det(g) != zero)
-    if j in good_before:
+    if j in good:
         raise ValueError(f"index {j} is not singular")
 
-    others = [i for i in range(len(matrices)) if i != j]
-    alpha_rows = _expand_rows(matrices, j)
+    others = [i for i in range(len(gs)) if i != j]
     if None in alpha_rows:
         raise errors.SpanExpansionError(
             f"row {alpha_rows.index(None)} of matrix {j} is not in the span of the other matrices' rows"
@@ -297,7 +269,7 @@ def correct_bad_index(matrices, gs, j: int) -> tuple[list[Matrix], CorrectionRec
     ident = Matrix.identity(field, n)
     conditions = [(gs[j], ident)]
     for i in others:
-        if i in good_before:
+        if i in good:
             conditions.append((gs[i], -corrections[i]))
     x = choose_correction_scalar(field, conditions)
 
@@ -306,11 +278,8 @@ def correct_bad_index(matrices, gs, j: int) -> tuple[list[Matrix], CorrectionRec
     for i in others:
         new_gs[i] = gs[i] - corrections[i].scale(x)
     good_after = frozenset(i for i, g in enumerate(new_gs) if det(g) != zero)
-    errors.check(
-        j in good_after and good_before <= good_after,
-        f"correcting index {j} left it singular or lost an invertible multiplier",
-    )
-    record = CorrectionRecord(j, x, len(conditions), good_before, good_after, tuple(new_gs))
+    errors.check(good | {j} <= good_after, f"correcting index {j} left it singular or lost an invertible multiplier")
+    record = CorrectionRecord(j, x, len(conditions), good, good_after, tuple(new_gs))
     return new_gs, record
 
 

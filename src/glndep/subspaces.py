@@ -115,8 +115,7 @@ def find_gl_transform(m1: Matrix, m2: Matrix) -> Matrix | None:
 
     def coordinate_columns(matrix: Matrix) -> list[tuple]:
         rows = span_solve_many(field, matrix.entries, basis_rows)
-        if None in rows:
-            raise errors.InternalSpanError("matrix row escaped its own row space")
+        errors.check(None not in rows, "matrix row escaped its own row space")
         return [tuple(r[t] for r in rows) for t in range(space.dim)]
 
     p1 = complete_to_invertible(field, n, coordinate_columns(m1))
@@ -242,23 +241,32 @@ def subspace_to_json(subspace: Subspace) -> dict:
     }
 
 
+def _subspaces_from_rows(field: Field, ambient, groups) -> list[Subspace]:
+    """One subspace per group of spanning rows decoded from JSON; ParseError
+    unless ambient is a positive int and every row a list of ambient entries."""
+    if type(ambient) is not int or ambient < 1:
+        raise errors.ParseError(f"'ambient' must be a positive int, got {ambient!r}")
+    if not isinstance(groups, list):
+        raise errors.ParseError("subspaces must be given as lists of spanning rows")
+    dec = field.element_from_json
+    out = []
+    for rows in groups:
+        if not isinstance(rows, list):
+            raise errors.ParseError("each subspace must be a list of spanning rows")
+        for row in rows:
+            if not isinstance(row, list) or len(row) != ambient:
+                raise errors.ParseError(f"each spanning row must be a list of {ambient} entries")
+        out.append(Subspace.from_vectors(field, ambient, [[dec(e) for e in row] for row in rows]))
+    return out
+
+
 def subspace_from_json(obj) -> Subspace:
     if not isinstance(obj, dict):
         raise errors.ParseError(f"subspace must be an object, got {obj!r}")
     for key in ("field", "ambient", "basis"):
         if key not in obj:
             raise errors.ParseError(f"subspace is missing {key!r}")
-    field = field_from_json(obj["field"])
-    ambient = obj["ambient"]
-    rows = obj["basis"]
-    if not isinstance(rows, list):
-        raise errors.ParseError("subspace 'basis' must be a list of rows")
-    dec = field.element_from_json
-    try:
-        vectors = [tuple(dec(e) for e in row) for row in rows]
-    except TypeError:
-        raise errors.ParseError("subspace basis rows must be lists") from None
-    return Subspace.from_vectors(field, ambient, vectors)
+    return _subspaces_from_rows(field_from_json(obj["field"]), obj["ambient"], [obj["basis"]])[0]
 
 
 def subspace_witness_to_json(witness: SubspaceWitness) -> dict:

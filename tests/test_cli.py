@@ -232,6 +232,8 @@ def test_subspace_row_of_wrong_length_is_input_error(tmp_path):
     assert main(["subspace-solve", "--input", str(inp), "--n", "1"]) == 3
     inp.write_text(json.dumps(dict(family, ambient=0, subspaces=[[], []])))
     assert main(["subspace-solve", "--input", str(inp), "--n", "1"]) == 3
+    inp.write_text(json.dumps(dict(family, subspaces=5)))
+    assert main(["subspace-solve", "--input", str(inp), "--n", "1"]) == 3
 
 
 def test_console_entry_point():

@@ -108,6 +108,16 @@ def test_instance_validation():
         solve_finite(ms, basis=wrong_basis)
 
 
+def test_validates_matrices_beyond_the_first_m_plus_one():
+    # the extra matrices get the zero multiplier, but must still share the
+    # field and shape of the first ones
+    ms = [Matrix.identity(GF2, 2)] * 3
+    with pytest.raises(errors.FieldMismatchError):
+        solve_finite(ms + [Matrix.identity(GF3, 2)])
+    with pytest.raises(errors.ShapeError):
+        solve_finite(ms + [Matrix.identity(GF2, 3)])
+
+
 def test_deterministic_output():
     rng = random.Random(59)
     mats = [random_matrix(rng, GF3, 2, 2) for _ in range(3)]

@@ -1,5 +1,7 @@
 """Recursive solver over the rationals: bases, projection, correction, instrumentation."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -7,7 +9,7 @@ import pytest
 
 from conftest import random_matrix
 from glndep import errors
-from glndep.certificate import TAG_INVERTIBLE, TAG_ZERO, verify_witness
+from glndep.certificate import TAG_INVERTIBLE, TAG_ZERO, verify_witness, witness_to_json
 from glndep.fields import PrimeField, RationalField
 from glndep.matrix import Matrix, det, kernel_basis
 from glndep.rational_solver import (
@@ -133,15 +135,13 @@ def test_column_pair_scaling():
 def test_row_dependences_single_column():
     mats = [qmat([[1], [1]]), qmat([[2], [2]])]
     deps = row_dependences(mats)
-    assert [d.row for d in deps] == [0, 1]
-    assert deps[0].coeffs == (Fraction(-2), Fraction(1))
-    assert deps[1].coeffs == (Fraction(-2), Fraction(1))
+    assert deps == [(Fraction(-2), Fraction(1)), (Fraction(-2), Fraction(1))]
 
 
 def test_row_dependences_zero_rows_take_first_free_variable():
     mats = [Matrix.zero(QQ, 1, 2) for _ in range(3)]
     deps = row_dependences(mats)
-    assert deps[0].coeffs == (Fraction(1), Fraction(0), Fraction(0))
+    assert deps == [(Fraction(1), Fraction(0), Fraction(0))]
 
 
 def test_row_dependences_assemble_to_zero_sum():
@@ -151,7 +151,7 @@ def test_row_dependences_assemble_to_zero_sum():
     total = Matrix.zero(QQ, 3, 2)
     for i, m in enumerate(mats):
         diag = Matrix.from_rows(
-            QQ, [[deps[r].coeffs[i] if r == c else 0 for c in range(3)] for r in range(3)]
+            QQ, [[deps[r][i] if r == c else 0 for c in range(3)] for r in range(3)]
         )
         total = total + diag * m
     assert total.is_zero()
@@ -161,17 +161,25 @@ def test_row_dependences_assemble_to_zero_sum():
 
 def test_detection_none_for_n1_spanning_rows():
     mats = [qmat([[1, 0]]), qmat([[0, 1]]), qmat([[1, 1]])]
-    assert find_row_outside_span(mats) is None
+    hit, expansions = find_row_outside_span(mats)
+    assert hit is None
+    # every matrix expanded; row 0 of matrix 2 is the sum of the other rows
+    assert len(expansions) == 3
+    assert expansions[2] == [[1, 1]]
 
 
 def test_detection_finds_smallest_pair():
     mats = [qmat([[1, 0], [0, 0]]), qmat([[1, 0], [0, 0]]), qmat([[0, 1], [0, 0]])]
-    assert find_row_outside_span(mats) == (2, 0)
+    hit, expansions = find_row_outside_span(mats)
+    assert hit == (2, 0)
+    # the scan stops at the hit, whose expansion marks the escaping row
+    assert len(expansions) == 3
+    assert expansions[2][0] is None
 
 
 def test_detection_none_when_all_matrices_equal():
     m = qmat([[1, 2], [3, 4]])
-    assert find_row_outside_span([m, m, m]) is None
+    assert find_row_outside_span([m, m, m])[0] is None
 
 
 # projection
@@ -190,8 +198,7 @@ def test_project_and_recurse_example():
 def test_projection_strictly_narrows():
     # three matrices whose kept rows span a line: the recursion sees width 1
     mats = [qmat([[2, 4], [0, 0]]), qmat([[1, 2], [3, 6]]), qmat([[0, 1], [1, 0]])]
-    hit = find_row_outside_span(mats)
-    assert hit == (2, 0)
+    assert find_row_outside_span(mats)[0] == (2, 0)
     gs = project_and_recurse(mats, 2)
     total = Matrix.zero(QQ, 2, 2)
     for g, m in zip(gs, mats):
@@ -208,7 +215,7 @@ def test_two_level_projection():
         qmat([[0, 1, 0], [0, 1, 0]]),
         qmat([[0, 0, 1], [0, 0, 1]]),
     ]
-    assert find_row_outside_span(mats) == (2, 0)
+    assert find_row_outside_span(mats)[0] == (2, 0)
     witness = solve_rational(mats)
     verify_witness(mats, witness)
     assert list(witness.entries) == [
@@ -244,28 +251,32 @@ def test_correct_bad_index_preserves_sum_and_goodness():
     ident = Matrix.identity(QQ, 2)
     mats = [ident, ident, ident]
     gs = [qmat([[-1, 0], [0, -1]]), ident, Matrix.zero(QQ, 2, 2)]
-    new_gs, record = correct_bad_index(mats, gs, 2)
+    expansions = find_row_outside_span(mats)[1]
+    new_gs, record = correct_bad_index(gs, frozenset({0, 1}), 2, expansions[2])
     total = Matrix.zero(QQ, 2, 2)
     for g, m in zip(new_gs, mats):
         total = total + g * m
     assert total.is_zero()
     assert det(new_gs[2]) != 0
-    assert record.good_before < record.good_after
+    assert record.good_before == frozenset({0, 1})
+    assert record.good_after == frozenset({0, 1, 2})
     assert record.n_conditions == 3
 
 
 def test_correct_bad_index_rejects_good_index():
     ident = Matrix.identity(QQ, 2)
+    expansions = find_row_outside_span([ident, ident, ident])[1]
     with pytest.raises(ValueError):
-        correct_bad_index([ident, ident, ident], [ident, ident, ident], 0)
+        correct_bad_index([ident, ident, ident], frozenset({0, 1, 2}), 0, expansions[0])
 
 
 def test_correction_raises_when_rows_not_expressible():
     # precondition violation: rows of matrix 2 escape the others' span
     mats = [qmat([[1, 0], [0, 0]]), qmat([[1, 0], [0, 0]]), qmat([[0, 1], [0, 0]])]
     gs = [Matrix.identity(QQ, 2), -Matrix.identity(QQ, 2), Matrix.zero(QQ, 2, 2)]
+    expansions = find_row_outside_span(mats)[1]
     with pytest.raises(errors.SpanExpansionError):
-        correct_bad_index(mats, gs, 2)
+        correct_bad_index(gs, frozenset({0, 1}), 2, expansions[2])
 
 
 # correction-scalar choice
@@ -383,3 +394,46 @@ def test_random_round_trip_with_instrumentation():
         assert rec.bad_index in rec.good_after
         n = rec.gs_after[0].rows
         assert rec.x <= n * rec.n_conditions + 1
+
+
+# pinned witness bytes of the recursive algorithm
+
+def _golden_matrix(rng, field, n, m, kind):
+    def entry():
+        if kind == "sparse" and rng.random() < 0.7:
+            return field.zero
+        return field.from_int(rng.randint(-3, 3))
+
+    if kind != "rank1":
+        return Matrix(field, tuple(tuple(entry() for _ in range(m)) for _ in range(n)))
+    # every row a multiple of one row, with one row forced to zero
+    base = tuple(entry() for _ in range(m))
+    zero_row = rng.randrange(n)
+    scales = [field.zero if r == zero_row else field.from_int(rng.randint(-2, 2)) for r in range(n)]
+    return Matrix(field, tuple(tuple(field.mul(s, e) for e in base) for s in scales))
+
+
+def _golden_instances(field, seed, count):
+    rng = random.Random(seed)
+    for t in range(count):
+        n, m = rng.randint(1, 4), rng.randint(1, 4)
+        k = m + 2 if t % 5 == 4 else m + 1
+        kind = ("dense", "sparse", "rank1")[t % 3]
+        yield [_golden_matrix(rng, field, n, m, kind) for _ in range(k)]
+
+
+def test_recursive_witness_bytes_are_pinned():
+    # sha256 over the witness JSON of seeded instances, one line per witness;
+    # a refactor of the recursive algorithm must leave every byte unchanged.
+    runs = [
+        (solve_rational, QQ, 1, 60),
+        (solve_unsafe_finite, PrimeField(101), 2, 30),
+        (solve_unsafe_finite, PrimeField(1009), 3, 30),
+    ]
+    h = hashlib.sha256()
+    for solve, field, seed, count in runs:
+        for mats in _golden_instances(field, seed, count):
+            witness = solve(mats)
+            verify_witness(mats, witness)
+            h.update(json.dumps(witness_to_json(witness), sort_keys=True).encode() + b"\n")
+    assert h.hexdigest() == "a6b3f25ce49414dc5bab338e4dfbec129a22263c19e5a518349c53c3c1e1aa86"
