@@ -115,11 +115,7 @@ def witness_to_json(witness: Witness) -> dict:
 
 
 def witness_from_json(obj) -> Witness:
-    if not isinstance(obj, dict):
-        raise errors.ParseError(f"witness must be an object, got {obj!r}")
-    for key in ("field", "n", "entries"):
-        if key not in obj:
-            raise errors.ParseError(f"witness is missing {key!r}")
+    errors._check_object(obj, "witness", ("field", "n", "entries"))
     field = field_from_json(obj["field"])
     n = obj["n"]
     if type(n) is not int or n < 1:
@@ -171,11 +167,7 @@ def _check_instance(matrices: list[Matrix]) -> tuple[Field, int, int]:
 
 
 def instance_from_json(obj) -> tuple[Field, list[Matrix]]:
-    if not isinstance(obj, dict):
-        raise errors.ParseError(f"instance must be an object, got {obj!r}")
-    for key in ("field", "matrices"):
-        if key not in obj:
-            raise errors.ParseError(f"instance is missing {key!r}")
+    errors._check_object(obj, "instance", ("field", "matrices"))
     field = field_from_json(obj["field"])
     raw = obj["matrices"]
     if not isinstance(raw, list) or not raw:

@@ -57,3 +57,12 @@ def check(ok: bool, what: str) -> None:
     """Raise PostconditionError unless ok; unlike assert, this also runs under python -O."""
     if not ok:
         raise PostconditionError(what)
+
+
+def _check_object(obj, what: str, keys) -> None:
+    """Raise ParseError unless obj is a JSON object holding every key; what names it."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"{what} must be an object, got {obj!r}")
+    for key in keys:
+        if key not in obj:
+            raise ParseError(f"{what} is missing {key!r}")

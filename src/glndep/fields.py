@@ -36,7 +36,6 @@ def is_prime(n: int) -> bool:
 class Field:
     """Common interface of PrimeField, ExtensionField, and RationalField."""
 
-    kind = "?"
     cardinality: int | None = None
     zero: object
     one: object
@@ -60,8 +59,6 @@ class Field:
 
 class PrimeField(Field):
     """GF(p) with elements the residues 0..p-1."""
-
-    kind = "prime"
 
     def __init__(self, p: int):
         if type(p) is not int:
@@ -140,8 +137,6 @@ class ExtensionField(Field):
     the counting order of coefficient vectors, so GF(p^k) is reproducible from
     (p, k) alone.
     """
-
-    kind = "ext"
 
     def __init__(self, p: int, k: int, modulus=None):
         base = PrimeField(p)
@@ -271,8 +266,6 @@ class ExtensionField(Field):
 
 class RationalField(Field):
     """The rational numbers with Fraction elements (always reduced, denominator > 0)."""
-
-    kind = "rational"
 
     def __init__(self):
         self.cardinality = None

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from . import errors
 from .certificate import Witness, _check_instance, witness_from_matrices
-from .fullrank import FullRankBasis, build_fullrank_basis
+from .fullrank import build_fullrank_basis
 from .matrix import Matrix, kernel_basis
 
 
-def solve_finite(matrices, basis: FullRankBasis | None = None) -> Witness:
+def solve_finite(matrices) -> Witness:
     """Witness for k >= m+1 matrices over a finite field.
 
     The first m+1 matrices carry the dependence, with multipliers drawn from
@@ -26,10 +26,7 @@ def solve_finite(matrices, basis: FullRankBasis | None = None) -> Witness:
     head = matrices[: m + 1]
     if not field.is_finite:
         raise errors.InfiniteFieldError("the kernel-method solver needs a finite field")
-    if basis is None:
-        basis = build_fullrank_basis(field, n)
-    if basis.field != field or basis.n != n:
-        raise ValueError("full-rank basis does not match the instance")
+    basis = build_fullrank_basis(field, n)
 
     products = [[b * M for b in basis.basis] for M in head]
     rows = []

@@ -106,15 +106,16 @@ def fullrank_to_json(basis: FullRankBasis) -> dict:
 
 
 def fullrank_from_json(obj) -> FullRankBasis:
-    if not isinstance(obj, dict):
-        raise errors.ParseError(f"full-rank basis must be an object, got {obj!r}")
-    for key in ("field", "n", "modulus", "basis"):
-        if key not in obj:
-            raise errors.ParseError(f"full-rank basis is missing {key!r}")
+    errors._check_object(obj, "full-rank basis", ("field", "n", "modulus", "basis"))
     field = field_from_json(obj["field"])
     n = obj["n"]
+    if type(n) is not int or n < 1:
+        raise errors.ParseError(f"full-rank basis 'n' must be a positive int, got {n!r}")
+    modulus = obj["modulus"]
+    if not isinstance(modulus, list) or len(modulus) != n + 1:
+        raise errors.ParseError(f"full-rank basis 'modulus' must be a list of {n + 1} coefficients")
     dec = field.element_from_json
-    modulus = tuple(dec(c) for c in obj["modulus"])
+    modulus = tuple(dec(c) for c in modulus)
     mats = obj["basis"]
     if not isinstance(mats, list) or len(mats) != n:
         raise errors.ParseError(f"full-rank basis needs {n} matrices")

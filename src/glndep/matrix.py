@@ -296,22 +296,43 @@ def complete_to_invertible(field: Field, n: int, vectors) -> Matrix:
 
     The inputs stay as the leading columns; the remaining columns are the
     standard basis vectors with the smallest indices that keep independence.
+    Both are the pivot columns of one elimination of [inputs | I].
     """
-    cols = [_flatten_vector(v) for v in vectors]
+    cols = [tuple(field.element(e) for e in _flatten_vector(v)) for v in vectors]
     for c in cols:
         if len(c) != n:
             raise errors.ShapeError(f"expected height-{n} vectors")
-    if cols and rank(Matrix.from_columns(field, cols)) != len(cols):
+    s = len(cols)
+    units = [tuple(field.one if t == idx else field.zero for t in range(n)) for idx in range(n)]
+    _, pivot_cols, _ = _gauss_jordan(field, zip(*cols, *units), s + n)
+    if pivot_cols[:s] != tuple(range(s)):
         raise errors.DependentInputError("input vectors are linearly dependent")
-    for idx in range(n):
-        if len(cols) == n:
-            break
-        e = tuple(field.one if t == idx else field.zero for t in range(n))
-        if rank(Matrix.from_columns(field, cols + [e])) > len(cols):
-            cols.append(e)
-    if len(cols) != n:
-        raise errors.DependentInputError("could not complete to an invertible matrix")
-    return Matrix.from_columns(field, cols)
+    return Matrix.from_columns(field, cols + [units[p - s] for p in pivot_cols[s:]])
+
+
+def find_gl_transform(m1: Matrix, m2: Matrix) -> Matrix | None:
+    """An invertible g with g * m1 == m2, or None when the row spaces differ.
+
+    Both matrices are written as coordinate matrices over the shared canonical
+    row basis, the nonzero rows of their common RREF; a row's coordinates are
+    its entries at the pivot columns.  Completing those coordinate columns to
+    invertible matrices and composing gives g.  Equal inputs produce the
+    identity.  The result is re-verified before returning.
+    """
+    if m1.rows != m2.rows or m1.cols != m2.cols:
+        raise errors.ShapeError("matrices of mixed shapes")
+    if m1.field != m2.field:
+        raise errors.FieldMismatchError("matrices over mixed fields")
+    reduced = rref(m1)
+    if reduced.rref != rref(m2).rref:
+        return None
+    field = m1.field
+    n = m1.rows
+    p1 = complete_to_invertible(field, n, [m1.column_tuple(c) for c in reduced.pivot_cols])
+    p2 = complete_to_invertible(field, n, [m2.column_tuple(c) for c in reduced.pivot_cols])
+    g = p2 * inverse(p1)
+    errors.check(det(g) != field.zero and g * m1 == m2, "the transform is singular or misses m2")
+    return g
 
 
 def matrix_to_json(matrix: Matrix) -> dict:
@@ -325,11 +346,7 @@ def matrix_to_json(matrix: Matrix) -> dict:
 
 
 def matrix_from_json(obj) -> Matrix:
-    if not isinstance(obj, dict):
-        raise errors.ParseError(f"matrix must be an object, got {obj!r}")
-    for key in ("field", "rows", "cols", "entries"):
-        if key not in obj:
-            raise errors.ParseError(f"matrix is missing {key!r}")
+    errors._check_object(obj, "matrix", ("field", "rows", "cols", "entries"))
     field = field_from_json(obj["field"])
     rows, cols = obj["rows"], obj["cols"]
     for key, value in (("rows", rows), ("cols", cols)):

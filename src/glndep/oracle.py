@@ -15,7 +15,6 @@ from itertools import product
 from . import errors
 from .certificate import Witness, verify_witness, witness_from_matrices
 from .fields import Field, field_to_json
-from .fullrank import build_fullrank_basis
 from .matrix import Matrix, det
 from .finite_solver import solve_finite
 
@@ -59,7 +58,7 @@ def _flat(matrix: Matrix) -> tuple:
     return tuple(e for row in matrix.entries for e in row)
 
 
-def brute_force_witness(matrices, cap: int = DEFAULT_CAP, gl: GlEnumeration | None = None) -> Witness | None:
+def brute_force_witness(matrices, cap: int = DEFAULT_CAP) -> Witness | None:
     """First witness tuple over (GL union {0})^k in lexicographic order, or None.
 
     The pool is ordered zero first, then the GL enumeration.  The last slot is
@@ -77,10 +76,7 @@ def brute_force_witness(matrices, cap: int = DEFAULT_CAP, gl: GlEnumeration | No
     for M in matrices:
         if M.field != field or M.rows != n or M.cols != m:
             raise errors.ShapeError("matrices of mixed shapes or fields")
-    if gl is None:
-        gl = enumerate_gl(field, n, cap)
-    elif gl.field != field or gl.n != n:
-        raise ValueError("GL enumeration does not match the instance")
+    gl = enumerate_gl(field, n, cap)
     k = len(matrices)
     pool = (Matrix.zero(field, n, n),) + gl.matrices
     if (len(pool)) ** k > cap:
@@ -132,8 +128,7 @@ def exhaustive_theorem_check(field: Field, n: int, m: int, cap: int = DEFAULT_CA
     total = q ** (n * m * (m + 1))
     if total > cap:
         raise errors.TooLargeError(f"{total} instances exceed the cap of {cap}")
-    gl = enumerate_gl(field, n, cap)
-    basis = build_fullrank_basis(field, n)
+    enumerate_gl(field, n, cap)  # a GL group over the cap raises here, before any instance
     elements = tuple(field.elements())
     shapes = [
         Matrix(field, tuple(flat[r * m : (r + 1) * m] for r in range(n)))
@@ -146,11 +141,11 @@ def exhaustive_theorem_check(field: Field, n: int, m: int, cap: int = DEFAULT_CA
     for combo in product(shapes, repeat=m + 1):
         instances += 1
         mats = list(combo)
-        if brute_force_witness(mats, cap=cap, gl=gl) is None:
+        if brute_force_witness(mats, cap=cap) is None:
             all_have = False
             failures.append({"instance": instances - 1, "kind": "no-witness"})
         try:
-            verify_witness(mats, solve_finite(mats, basis=basis))
+            verify_witness(mats, solve_finite(mats))
         except errors.Error as exc:
             agrees = False
             failures.append({"instance": instances - 1, "kind": f"solver: {exc}"})

@@ -42,7 +42,7 @@ from typing import Callable, Optional
 from . import errors
 from .certificate import Witness, _check_instance, witness_from_matrices
 from .fields import Field, RationalField
-from .matrix import Matrix, complete_to_invertible, det, inverse, kernel_basis, rref, span_solve_many
+from .matrix import Matrix, det, find_gl_transform, kernel_basis, rref, span_solve_many
 from .finite_solver import solve_finite
 
 
@@ -158,11 +158,7 @@ def solve_column_pair(w1: Matrix, w2: Matrix) -> Witness:
         return witness_from_matrices(field, [ident, zero])
     if w2.is_zero():
         return witness_from_matrices(field, [zero, ident])
-    onto_w1 = complete_to_invertible(field, n, [w1])
-    onto_w2 = complete_to_invertible(field, n, [w2])
-    g = onto_w2 * inverse(onto_w1)
-    errors.check(g * w1 == w2, "the column map does not send w1 onto w2")
-    return witness_from_matrices(field, [g, -ident])
+    return witness_from_matrices(field, [find_gl_transform(w1, w2), -ident])
 
 
 def row_dependences(matrices) -> list[tuple]:
@@ -214,22 +210,20 @@ def project_and_recurse(matrices, j: int, observer: Observer = None) -> list[Mat
 
     Requires that some row of matrix j lies outside that span, so the span has
     dimension r <= m-1 and the recursive instance is strictly narrower.  The
-    lifted multipliers (recursive ones for i != j, zero for j) inherit
-    sum(g_i M_i) == 0 because the coordinate map is injective on the span and
-    applies row by row.
+    coordinates are over the RREF basis of the span, so a row's coordinates
+    are its entries at the pivot columns.  The lifted multipliers (recursive
+    ones for i != j, zero for j) inherit sum(g_i M_i) == 0 because the
+    coordinate map is injective on the span and applies row by row.
     """
     matrices = list(matrices)
     field = matrices[0].field
     n, m = matrices[0].rows, matrices[0].cols
     others = [M for i, M in enumerate(matrices) if i != j]
-    rows = [row for M in others for row in M.entries]
-    reduced = rref(Matrix(field, tuple(rows)))
-    basis_rows = [reduced.rref.entries[t] for t in range(reduced.rank)]
-    r = len(basis_rows)
+    reduced = rref(Matrix(field, tuple(row for M in others for row in M.entries)))
+    r = reduced.rank
     errors.check(r <= m - 1, f"span of the other rows has dimension {r}, expected <= {m - 1}")
-    coords = span_solve_many(field, rows, basis_rows)
-    errors.check(None not in coords, "row of a kept matrix fell outside its own span")
-    projected = [Matrix.from_rows(field, coords[pos * n : (pos + 1) * n]) for pos in range(len(others))]
+    pivots = reduced.pivot_cols
+    projected = [Matrix.from_rows(field, [[row[c] for c in pivots] for row in M.entries]) for M in others]
     recursive = _solve_entry(projected, observer)
     lifted = []
     it = iter(recursive.entries)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from . import errors
 from .certificate import TAG_ZERO
 from .fields import Field, field_from_json, field_to_json
-from .matrix import Matrix, complete_to_invertible, det, inverse, rref, span_solve, span_solve_many
+from .matrix import Matrix, rref, span_solve_many
 from .oracle import brute_force_witness
 from .finite_solver import solve_finite
 from .rational_solver import solve_rational
@@ -59,6 +59,13 @@ class Subspace:
                 raise errors.ShapeError("basis row of the wrong length")
             for e in row:
                 self.field.validate(e)
+        # Only the canonical basis, so that equal subspaces compare equal.
+        zero, one = self.field.zero, self.field.one
+        leads = [next((c for c, e in enumerate(row) if e != zero), None) for row in self.basis]
+        if None in leads or leads != sorted(set(leads)) or any(
+            row[c] != (one if s == t else zero) for t, row in enumerate(self.basis) for s, c in enumerate(leads)
+        ):
+            raise ValueError("subspace basis must be the nonzero rows of an RREF")
 
     @property
     def dim(self) -> int:
@@ -75,9 +82,6 @@ class Subspace:
         reduced = rref(Matrix(field, tuple(vectors)))
         return cls(field, ambient, tuple(reduced.rref.entries[t] for t in range(reduced.rank)))
 
-    def contains(self, vector) -> bool:
-        return span_solve(self.field, vector, list(self.basis)) is not None
-
 
 def row_space(matrix: Matrix) -> Subspace:
     return Subspace.from_vectors(matrix.field, matrix.cols, matrix.entries)
@@ -92,37 +96,6 @@ def representative_matrix(subspace: Subspace, n: int) -> Matrix:
     zero_row = (field.zero,) * subspace.ambient
     rows = list(subspace.basis) + [zero_row] * (n - subspace.dim)
     return Matrix(field, tuple(rows))
-
-
-def find_gl_transform(m1: Matrix, m2: Matrix) -> Matrix | None:
-    """An invertible g with g * m1 == m2, or None when the row spaces differ.
-
-    Both matrices are written as coordinate matrices over the shared canonical
-    row basis; completing those coordinate columns to invertible matrices and
-    composing gives g.  Equal inputs produce the identity.  The result is
-    re-verified before returning.
-    """
-    if m1.rows != m2.rows or m1.cols != m2.cols:
-        raise errors.ShapeError("matrices of mixed shapes")
-    if m1.field != m2.field:
-        raise errors.FieldMismatchError("matrices over mixed fields")
-    space = row_space(m1)
-    if space != row_space(m2):
-        return None
-    field = m1.field
-    n = m1.rows
-    basis_rows = list(space.basis)
-
-    def coordinate_columns(matrix: Matrix) -> list[tuple]:
-        rows = span_solve_many(field, matrix.entries, basis_rows)
-        errors.check(None not in rows, "matrix row escaped its own row space")
-        return [tuple(r[t] for r in rows) for t in range(space.dim)]
-
-    p1 = complete_to_invertible(field, n, coordinate_columns(m1))
-    p2 = complete_to_invertible(field, n, coordinate_columns(m2))
-    g = p2 * inverse(p1)
-    errors.check(det(g) != field.zero and g * m1 == m2, "the transform is singular or misses m2")
-    return g
 
 
 @dataclass(frozen=True)
@@ -213,9 +186,9 @@ def verify_subspace_witness(subspaces, witness: SubspaceWitness) -> None:
     if all(flag == FLAG_ZERO for flag in witness.flags):
         raise SubspaceVerificationError("all-zero")
     for i, (L, group) in enumerate(zip(subspaces, witness.vectors)):
-        for j, v in enumerate(group):
-            if not L.contains(v):
-                raise SubspaceVerificationError("membership", subspace=i, vector=j)
+        coords = span_solve_many(field, group, L.basis)
+        if None in coords:
+            raise SubspaceVerificationError("membership", subspace=i, vector=coords.index(None))
     zero = field.zero
     for j in range(witness.n):
         total = [zero] * witness.ambient
@@ -261,11 +234,7 @@ def _subspaces_from_rows(field: Field, ambient, groups) -> list[Subspace]:
 
 
 def subspace_from_json(obj) -> Subspace:
-    if not isinstance(obj, dict):
-        raise errors.ParseError(f"subspace must be an object, got {obj!r}")
-    for key in ("field", "ambient", "basis"):
-        if key not in obj:
-            raise errors.ParseError(f"subspace is missing {key!r}")
+    errors._check_object(obj, "subspace", ("field", "ambient", "basis"))
     return _subspaces_from_rows(field_from_json(obj["field"]), obj["ambient"], [obj["basis"]])[0]
 
 
@@ -281,11 +250,7 @@ def subspace_witness_to_json(witness: SubspaceWitness) -> dict:
 
 
 def subspace_witness_from_json(obj) -> SubspaceWitness:
-    if not isinstance(obj, dict):
-        raise errors.ParseError(f"subspace witness must be an object, got {obj!r}")
-    for key in ("field", "ambient", "n", "flags", "vectors"):
-        if key not in obj:
-            raise errors.ParseError(f"subspace witness is missing {key!r}")
+    errors._check_object(obj, "subspace witness", ("field", "ambient", "n", "flags", "vectors"))
     field = field_from_json(obj["field"])
     dec = field.element_from_json
     try:

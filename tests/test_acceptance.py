@@ -19,7 +19,7 @@ from glndep.certificate import verify_witness
 from glndep.fields import ExtensionField, PrimeField, RationalField, field_from_order
 from glndep.finite_solver import solve_finite
 from glndep.fullrank import build_fullrank_basis, check_fullrank_basis
-from glndep.matrix import Matrix, det, rank
+from glndep.matrix import Matrix, det, find_gl_transform, rank
 from glndep.oracle import brute_force_witness, enumerate_gl, exhaustive_theorem_check
 from glndep.rational_solver import solve_rational
 from glndep.subspaces import (
@@ -28,7 +28,6 @@ from glndep.subspaces import (
     Subspace,
     SubspaceVerificationError,
     SubspaceWitness,
-    find_gl_transform,
     row_space,
     solve_subspace_dependence,
     verify_subspace_witness,

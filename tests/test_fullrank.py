@@ -128,6 +128,22 @@ def test_fullrank_json_round_trip():
         assert fullrank_from_json(fullrank_to_json(fb)) == fb
 
 
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"n": 0, "modulus": [], "basis": []},
+        {"modulus": ["1", "1"]},
+        {"modulus": "111"},
+    ],
+    ids=["n-zero", "modulus-too-short", "modulus-not-a-list"],
+)
+def test_fullrank_json_rejects_bad_n_or_modulus(changes):
+    obj = fullrank_to_json(build_fullrank_basis(GF2, 2))
+    obj.update(changes)
+    with pytest.raises(errors.ParseError):
+        fullrank_from_json(obj)
+
+
 def test_fullrank_json_rejects_missing_key():
     obj = fullrank_to_json(build_fullrank_basis(GF2, 2))
     del obj["basis"]

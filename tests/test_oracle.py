@@ -120,14 +120,6 @@ def test_brute_force_cap():
         brute_force_witness(mats, cap=100)
 
 
-def test_brute_force_respects_supplied_enumeration():
-    enum = enumerate_gl(GF2, 2)
-    mats = [Matrix.zero(GF2, 2, 2)]
-    assert brute_force_witness(mats, gl=enum) is not None
-    with pytest.raises(ValueError):
-        brute_force_witness(mats, gl=enumerate_gl(GF2, 1))
-
-
 def test_theorem_sweep_tiny():
     report = exhaustive_theorem_check(GF2, 1, 1)
     assert report.instances == 4

@@ -70,7 +70,7 @@ def test_multipliers_lie_in_the_subspace():
     flat_basis = [tuple(e for row in b.entries for e in row) for b in basis.basis]
     for _ in range(15):
         mats = [random_matrix(rng, GF3, 2, 2) for _ in range(3)]
-        witness = solve_finite(mats, basis=basis)
+        witness = solve_finite(mats)
         verify_witness(mats, witness)
         for g in witness.entries:
             flat = tuple(e for row in g.entries for e in row)
@@ -102,10 +102,6 @@ def test_instance_validation():
     mixed = [Matrix.identity(GF2, 2), Matrix.identity(GF3, 2), Matrix.identity(GF2, 2)]
     with pytest.raises(errors.FieldMismatchError):
         solve_finite(mixed)
-    wrong_basis = build_fullrank_basis(GF2, 3)
-    ms = [Matrix.identity(GF2, 2)] * 3
-    with pytest.raises(ValueError):
-        solve_finite(ms, basis=wrong_basis)
 
 
 def test_validates_matrices_beyond_the_first_m_plus_one():

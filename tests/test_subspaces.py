@@ -2,6 +2,7 @@
 GL(n)-dependence of subspace families."""
 
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -9,14 +10,13 @@ import pytest
 from conftest import random_invertible, random_matrix
 from glndep import errors
 from glndep.fields import PrimeField, RationalField
-from glndep.matrix import Matrix, det, rank
+from glndep.matrix import Matrix, det, find_gl_transform, rank
 from glndep.subspaces import (
     FLAG_FULL,
     FLAG_ZERO,
     Subspace,
     SubspaceVerificationError,
     SubspaceWitness,
-    find_gl_transform,
     representative_matrix,
     row_space,
     solve_subspace_dependence,
@@ -41,6 +41,18 @@ def line(field, vector):
 
 
 # row spaces
+
+@pytest.mark.parametrize(
+    "basis",
+    [((2, 0),), ((1, 0), (2, 0)), ((0, 1), (1, 0)), ((1, 1), (0, 1)), ((0, 0),)],
+    ids=["lead-not-one", "repeated-lead", "leads-decrease", "lead-column-not-cleared", "zero-row"],
+)
+def test_subspace_rejects_a_basis_that_is_not_canonical(basis):
+    # a raw basis is trusted as canonical, so a bad one would compare unequal
+    # to its own span and report the wrong dimension
+    with pytest.raises(ValueError):
+        Subspace(QQ, 2, tuple(tuple(Fraction(e) for e in row) for row in basis))
+
 
 def test_row_space_of_identity_is_everything():
     space = row_space(Matrix.identity(QQ, 2))
@@ -259,6 +271,20 @@ def test_verify_rejects_membership_violation():
     with pytest.raises(SubspaceVerificationError) as exc:
         verify_subspace_witness(spaces, bad)
     assert exc.value.reason == "membership"
+
+
+def test_verify_reports_the_first_vector_outside_its_subspace():
+    # subspace 1's second vector is the first to leave its subspace; subspace
+    # 2's first vector leaves it too, but comes later in (subspace, vector) order
+    spaces = [line(QQ, (1, 0)), line(QQ, (0, 1)), line(QQ, (1, 1))]
+    vecs = tuple(
+        tuple(tuple(QQ.element(e) for e in v) for v in group)
+        for group in (((1, 0), (0, 0)), ((0, 1), (1, 0)), ((1, 0), (0, 0)))
+    )
+    bad = SubspaceWitness(QQ, 2, 2, vecs, (FLAG_FULL, FLAG_FULL, FLAG_FULL))
+    with pytest.raises(SubspaceVerificationError) as exc:
+        verify_subspace_witness(spaces, bad)
+    assert (exc.value.reason, exc.value.subspace, exc.value.vector) == ("membership", 1, 1)
 
 
 def test_verify_rejects_sum_violation():
