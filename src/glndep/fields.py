@@ -372,13 +372,15 @@ def field_from_json(obj) -> Field:
         raise errors.ParseError(f"field descriptor must be an object with a 'kind': {obj!r}")
     kind = obj["kind"]
     try:
+        # The constructors reject a p or k that is not an int (a bool too).
         if kind == "prime":
-            return PrimeField(int(obj["p"]))
+            return PrimeField(obj["p"])
         if kind == "ext":
             modulus = obj.get("modulus")
             if not isinstance(modulus, list):
                 raise errors.ParseError(f"extension field needs a 'modulus' list: {obj!r}")
-            return ExtensionField(int(obj["p"]), int(obj["k"]), [int(c) for c in modulus])
+            base = PrimeField(obj["p"])
+            return ExtensionField(base.p, obj["k"], [base.element_from_json(c) for c in modulus])
         if kind == "rational":
             return RationalField()
     except KeyError as exc:
@@ -434,13 +436,15 @@ def poly_divmod(field: Field, a, b) -> tuple[list, list]:
     rem = poly_trim(field, a)
     if len(rem) < len(b):
         return [], rem
-    inv_lead = field.inv(b[-1])
+    # A monic divisor (every Ben-Or reduction) needs no inverse, which over
+    # GF(p^k) would be a full extended Euclid.
+    inv_lead = None if b[-1] == field.one else field.inv(b[-1])
     quot = [field.zero] * (len(rem) - len(b) + 1)
     for shift in range(len(rem) - len(b), -1, -1):
         c = rem[shift + len(b) - 1]
         if c == field.zero:
             continue
-        factor = field.mul(c, inv_lead)
+        factor = c if inv_lead is None else field.mul(c, inv_lead)
         quot[shift] = factor
         for i, bc in enumerate(b):
             rem[shift + i] = field.sub(rem[shift + i], field.mul(factor, bc))
@@ -449,6 +453,25 @@ def poly_divmod(field: Field, a, b) -> tuple[list, list]:
 
 def poly_mod(field: Field, a, b) -> list:
     return poly_divmod(field, a, b)[1]
+
+
+def _poly_powmod(field: Field, a, e: int, f) -> list:
+    """a^e mod f by square-and-multiply, for a already reduced mod f."""
+    result = [field.one]
+    while e:
+        if e & 1:
+            result = poly_mod(field, poly_mul(field, result, a), f)
+        e >>= 1
+        if e:
+            a = poly_mod(field, poly_mul(field, a, a), f)
+    return result
+
+
+def _poly_gcd(field: Field, a, b) -> list:
+    """A gcd of trimmed a and b, up to a unit factor (Euclid's algorithm)."""
+    while b:
+        a, b = b, poly_mod(field, a, b)
+    return a
 
 
 def monic_polynomials(field: Field, degree: int) -> Iterator[list]:
@@ -471,15 +494,21 @@ def monic_polynomials(field: Field, degree: int) -> Iterator[list]:
 
 
 def is_irreducible(field: Field, coeffs) -> bool:
-    """Trial division by every monic polynomial of degree 1..deg/2."""
+    """Ben-Or's test (FOCS 1981): a monic f of degree d over GF(q) is
+    irreducible iff gcd(x^(q^i) - x, f) = 1 for every i = 1..d/2, since
+    x^(q^i) - x is the product of all monic irreducibles of degree dividing i.
+    """
     cs = poly_trim(field, coeffs)
     if len(cs) < 2 or cs[-1] != field.one:
         raise ValueError("irreducibility test needs a monic polynomial of degree >= 1")
     deg = len(cs) - 1
-    for e in range(1, deg // 2 + 1):
-        for g in monic_polynomials(field, e):
-            if not poly_mod(field, cs, g):
-                return False
+    if deg >= 2 and not field.is_finite:
+        raise errors.InfiniteFieldError("irreducibility test needs a finite field")
+    h = x = [field.zero, field.one]
+    for _ in range(deg // 2):
+        h = _poly_powmod(field, h, field.cardinality, cs)
+        if len(_poly_gcd(field, poly_sub(field, h, x), cs)) > 1:
+            return False
     return True
 
 

@@ -195,10 +195,6 @@ def rref(matrix: Matrix) -> RrefResult:
     return RrefResult(Matrix(matrix.field, tuple(map(tuple, work))), pivot_cols, len(pivot_cols))
 
 
-def rank(matrix: Matrix) -> int:
-    return len(_gauss_jordan(matrix.field, matrix.entries, matrix.cols)[1])
-
-
 def kernel_basis(matrix: Matrix) -> list[Matrix]:
     """Canonical basis of the right kernel, one column vector per free column.
 

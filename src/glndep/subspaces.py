@@ -83,10 +83,6 @@ class Subspace:
         return cls(field, ambient, tuple(reduced.rref.entries[t] for t in range(reduced.rank)))
 
 
-def row_space(matrix: Matrix) -> Subspace:
-    return Subspace.from_vectors(matrix.field, matrix.cols, matrix.entries)
-
-
 def representative_matrix(subspace: Subspace, n: int) -> Matrix:
     """The canonical n x m matrix with the given row space: basis rows on top,
     zero rows below."""

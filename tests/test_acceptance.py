@@ -19,7 +19,7 @@ from glndep.certificate import verify_witness
 from glndep.fields import ExtensionField, PrimeField, RationalField, field_from_order
 from glndep.finite_solver import solve_finite
 from glndep.fullrank import build_fullrank_basis, check_fullrank_basis
-from glndep.matrix import Matrix, det, find_gl_transform, rank
+from glndep.matrix import Matrix, det, find_gl_transform, rref
 from glndep.oracle import brute_force_witness, enumerate_gl, exhaustive_theorem_check
 from glndep.rational_solver import solve_rational
 from glndep.subspaces import (
@@ -28,7 +28,6 @@ from glndep.subspaces import (
     Subspace,
     SubspaceVerificationError,
     SubspaceWitness,
-    row_space,
     solve_subspace_dependence,
     verify_subspace_witness,
 )
@@ -141,7 +140,8 @@ def test_criterion_6_row_equivalence_round_trip():
             m = rng.randint(1, 3)
             m1 = random_matrix(rng, field, n, m)
             m2 = random_matrix(rng, field, n, m)
-            if row_space(m1) == row_space(m2):
+            s1 = Subspace.from_vectors(field, m, m1.entries)
+            if s1 == Subspace.from_vectors(field, m, m2.entries):
                 continue
             assert find_gl_transform(m1, m2) is None
             field_rejections += 1
@@ -163,7 +163,7 @@ def test_criterion_7_subspace_properties():
         for k in range(1, m + 2):
             for family in product(lines, repeat=k):
                 generators = Matrix.from_rows(GF2, [L.basis[0] for L in family])
-                ordinary = rank(generators.transpose()) < k
+                ordinary = rref(generators.transpose()).rank < k
                 witness = solve_subspace_dependence(list(family), 1)
                 if witness is not None:
                     verify_subspace_witness(list(family), witness)
@@ -245,7 +245,7 @@ def test_criterion_8_matrix_subspace_equivalence():
         for k in range(1, m + 2):
             for combo in product(all_mats, repeat=k):
                 matrix_side = brute_force_witness(list(combo)) is not None
-                family = tuple(row_space(M) for M in combo)
+                family = tuple(Subspace.from_vectors(M.field, M.cols, M.entries) for M in combo)
                 if family not in subspace_decisions:
                     subspace_decisions[family] = _definition_witness_exists(list(family), 2)
                 assert matrix_side == subspace_decisions[family], f"disagreement at {combo}"

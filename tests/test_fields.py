@@ -16,7 +16,9 @@ from glndep.fields import (
     field_to_json,
     find_irreducible,
     is_irreducible,
+    monic_polynomials,
     parse_field,
+    poly_mod,
 )
 
 GF2 = PrimeField(2)
@@ -118,11 +120,40 @@ def test_find_irreducible_counting_order():
     assert find_irreducible(GF3, 2) == (1, 0, 1)
     assert find_irreducible(GF2, 3) == (1, 1, 0, 1)
     assert find_irreducible(GF2, 4) == (1, 1, 0, 0, 1)
+    # found by trial division; far into the counting order for these q
+    assert find_irreducible(PrimeField(31), 6) == (5, 0, 0, 0, 0, 0, 1)
+    assert find_irreducible(PrimeField(101), 6) == (3, 1, 0, 0, 0, 0, 1)
+    assert find_irreducible(PrimeField(1009), 4) == (11, 0, 0, 0, 1)
+    assert ExtensionField(2, 16).modulus == (1, 1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1)
 
 
 def test_is_irreducible_requires_monic():
     with pytest.raises(ValueError):
         is_irreducible(GF3, [1, 2])  # leading coefficient 2
+
+
+def test_irreducibility_over_qq_needs_a_finite_field():
+    assert is_irreducible(QQ, [Fraction(3), Fraction(1)])  # degree 1 needs no search
+    with pytest.raises(errors.InfiniteFieldError):
+        is_irreducible(QQ, [Fraction(1), Fraction(0), Fraction(1)])
+    with pytest.raises(errors.InfiniteFieldError):
+        find_irreducible(QQ, 2)
+
+
+def _trial_division_irreducible(field, coeffs):
+    """Reference test: no monic polynomial of degree 1..deg/2 divides f."""
+    deg = len(coeffs) - 1
+    return all(poly_mod(field, coeffs, g) for e in range(1, deg // 2 + 1) for g in monic_polynomials(field, e))
+
+
+@pytest.mark.parametrize("field,max_degree", [(GF2, 8), (GF3, 5), (GF4, 3)])
+def test_irreducibility_agrees_with_trial_division(field, max_degree):
+    checked = 0
+    for degree in range(1, max_degree + 1):
+        for f in monic_polynomials(field, degree):
+            assert is_irreducible(field, f) == _trial_division_irreducible(field, f), f
+            checked += 1
+    assert checked == sum(field.cardinality ** d for d in range(1, max_degree + 1))
 
 
 # enumeration
@@ -260,6 +291,26 @@ def test_field_from_order():
 @pytest.mark.parametrize("field", [GF2, GF7, GF4, GF9, QQ])
 def test_field_json_round_trip(field):
     assert field_from_json(field_to_json(field)) == field
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"kind": "prime", "p": 7.9},
+        {"kind": "prime", "p": "7"},
+        {"kind": "prime", "p": True},
+        {"kind": "ext", "p": 2, "k": 2.6, "modulus": ["1", "1", "1"]},
+        {"kind": "ext", "p": 2, "k": True, "modulus": ["1", "1", "1"]},
+        {"kind": "ext", "p": 2.0, "k": 2, "modulus": ["1", "1", "1"]},
+        {"kind": "ext", "p": 2, "k": 2, "modulus": ["1", 1.9, "1"]},
+        {"kind": "ext", "p": 2, "k": 2, "modulus": ["1", True, "1"]},
+        {"kind": "ext", "p": 2, "k": 2, "modulus": [1, 1, 1]},
+    ],
+)
+def test_field_json_rejects_non_integers(obj):
+    # p and k are JSON ints, modulus entries decimal strings; nothing is truncated
+    with pytest.raises(errors.ParseError):
+        field_from_json(obj)
 
 
 def test_field_json_rejects_garbage():

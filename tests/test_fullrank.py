@@ -1,5 +1,6 @@
 """Full-rank subspace construction: companion-matrix powers of an irreducible."""
 
+import time
 from itertools import product
 
 import pytest
@@ -149,3 +150,11 @@ def test_fullrank_json_rejects_missing_key():
     del obj["basis"]
     with pytest.raises(errors.ParseError):
         fullrank_from_json(obj)
+
+
+def test_large_prime_field_bases_are_fast():
+    # the modulus search is polynomial in log q: trial division took 42 s here
+    start = time.perf_counter()
+    for field, n in ((PrimeField(101), 6), (PrimeField(1009), 4)):
+        assert build_fullrank_basis(field, n).n == n
+    assert time.perf_counter() - start < 2.0
