@@ -118,8 +118,7 @@ def witness_from_json(obj) -> Witness:
     errors._check_object(obj, "witness", ("field", "n", "entries"))
     field = field_from_json(obj["field"])
     n = obj["n"]
-    if type(n) is not int or n < 1:
-        raise errors.ParseError(f"witness 'n' must be a positive int, got {n!r}")
+    errors._check_positive_int(n, "witness 'n'")
     raw = obj["entries"]
     if not isinstance(raw, list) or not raw:
         raise errors.ParseError("witness 'entries' must be a non-empty list")

@@ -66,3 +66,9 @@ def _check_object(obj, what: str, keys) -> None:
     for key in keys:
         if key not in obj:
             raise ParseError(f"{what} is missing {key!r}")
+
+
+def _check_positive_int(value, what: str) -> None:
+    """Raise ParseError unless value is an int >= 1 (a bool or a float is not); what names it."""
+    if type(value) is not int or value < 1:
+        raise ParseError(f"{what} must be a positive int, got {value!r}")

@@ -47,9 +47,6 @@ class Field:
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def elements(self) -> Iterator:
         raise errors.InfiniteFieldError(f"{self!r} has infinitely many elements")
 

@@ -28,20 +28,11 @@ def solve_finite(matrices) -> Witness:
         raise errors.InfiniteFieldError("the kernel-method solver needs a finite field")
     basis = build_fullrank_basis(field, n)
 
-    products = [[b * M for b in basis.basis] for M in head]
-    rows = []
-    for ell in range(n):
-        for c in range(m):
-            row = []
-            for i in range(m + 1):
-                prods_i = products[i]
-                for t in range(n):
-                    row.append(prods_i[t].entries[ell][c])
-            rows.append(tuple(row))
-    system = Matrix(field, tuple(rows))
-    kernel = kernel_basis(system)
+    # Unknown i*n + t is the coefficient of B_t in g_i; its column is B_t M_i, flattened row-major.
+    columns = [tuple(e for row in (b * M).entries for e in row) for M in head for b in basis.basis]
+    kernel = kernel_basis(Matrix(field, tuple(zip(*columns))))
     errors.check(bool(kernel), f"({m + 1})*{n} unknowns vs {m * n} equations left no kernel vector")
-    coeffs = kernel[0].column_tuple(0)
+    coeffs = kernel[0]
     zero = field.zero
     gs = []
     for i in range(m + 1):

@@ -65,11 +65,11 @@ def build_fullrank_basis(field: Field, n: int) -> FullRankBasis:
     return _build(field, n)
 
 
-def check_fullrank_basis(basis: FullRankBasis, cap: int = 10 ** 6) -> bool:
+def check_fullrank_basis(basis: FullRankBasis) -> bool:
     """True iff every nonzero combination of the basis has nonzero determinant.
 
-    Exhausts all q^n - 1 combinations; raises TooLargeError above the cap
-    rather than sampling.
+    Exhausts all q^n - 1 combinations; raises TooLargeError above a cap of
+    10^6 rather than sampling.
     """
     field = basis.field
     n = basis.n
@@ -78,7 +78,7 @@ def check_fullrank_basis(basis: FullRankBasis, cap: int = 10 ** 6) -> bool:
     for b in basis.basis:
         if b.rows != n or b.cols != n or b.field != field:
             raise ValueError("basis matrices must be n x n over the basis field")
-    combos = field.cardinality ** n
+    combos, cap = field.cardinality ** n, 10 ** 6
     if combos > cap:
         raise errors.TooLargeError(f"{combos} combinations exceed the cap of {cap}")
     elements = tuple(field.elements())
@@ -109,8 +109,7 @@ def fullrank_from_json(obj) -> FullRankBasis:
     errors._check_object(obj, "full-rank basis", ("field", "n", "modulus", "basis"))
     field = field_from_json(obj["field"])
     n = obj["n"]
-    if type(n) is not int or n < 1:
-        raise errors.ParseError(f"full-rank basis 'n' must be a positive int, got {n!r}")
+    errors._check_positive_int(n, "full-rank basis 'n'")
     modulus = obj["modulus"]
     if not isinstance(modulus, list) or len(modulus) != n + 1:
         raise errors.ParseError(f"full-rank basis 'modulus' must be a list of {n + 1} coefficients")

@@ -1,7 +1,7 @@
 """Dense exact matrices over a Field, and the elimination behind every matrix question.
 
-Matrices are immutable row-major tuples of canonical field elements; vectors are
-just 1-row or 1-column matrices (or plain sequences at function boundaries).
+Matrices are immutable row-major tuples of canonical field elements; a vector
+is a plain tuple of them.
 RREF, rank, kernel, determinant, inverse and span solving all read one
 Gauss-Jordan pass.  Pivoting is always "first nonzero", never by magnitude, so
 every result is deterministic and reproducible.
@@ -67,14 +67,6 @@ class Matrix:
         z, o = field.zero, field.one
         return cls(field, tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)))
 
-    @classmethod
-    def column(cls, field: Field, values) -> "Matrix":
-        return cls(field, tuple((field.element(v),) for v in values))
-
-    @classmethod
-    def row(cls, field: Field, values) -> "Matrix":
-        return cls(field, (tuple(field.element(v) for v in values),))
-
     def _check_same_field(self, other: "Matrix") -> None:
         if self.field != other.field:
             raise errors.FieldMismatchError(f"{self.field!r} vs {other.field!r}")
@@ -134,9 +126,6 @@ class Matrix:
         mul = f.mul
         return Matrix(f, tuple(tuple(mul(c, e) for e in row) for row in self.entries))
 
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, tuple(zip(*self.entries)))
-
     def __repr__(self):
         rows = ", ".join("[" + ", ".join(repr(e) for e in row) + "]" for row in self.entries)
         return f"Matrix({self.field!r}, [{rows}])"
@@ -195,8 +184,8 @@ def rref(matrix: Matrix) -> RrefResult:
     return RrefResult(Matrix(matrix.field, tuple(map(tuple, work))), pivot_cols, len(pivot_cols))
 
 
-def kernel_basis(matrix: Matrix) -> list[Matrix]:
-    """Canonical basis of the right kernel, one column vector per free column.
+def kernel_basis(matrix: Matrix) -> list[tuple]:
+    """Canonical basis of the right kernel, one vector per free column.
 
     The vector for free column j has a 1 there, 0 at the other free columns,
     and the negated reduced entries at the pivot columns.  Empty list iff the
@@ -213,7 +202,7 @@ def kernel_basis(matrix: Matrix) -> list[Matrix]:
         vec[free] = f.one
         for t, pc in enumerate(pivot_cols):
             vec[pc] = f.neg(reduced[t][free])
-        basis.append(Matrix.column(f, vec))
+        basis.append(tuple(vec))
     return basis
 
 
@@ -238,16 +227,6 @@ def inverse(matrix: Matrix) -> Matrix:
     return Matrix(f, tuple(tuple(row[n:]) for row in work))
 
 
-def _flatten_vector(v) -> tuple:
-    if isinstance(v, Matrix):
-        if v.rows == 1:
-            return v.entries[0]
-        if v.cols == 1:
-            return v.column_tuple(0)
-        raise errors.ShapeError(f"{v.rows}x{v.cols} matrix is not a vector")
-    return tuple(v)
-
-
 def span_solve(field: Field, target, generators):
     """Express target as a combination of the generators, or None.
 
@@ -266,8 +245,8 @@ def span_solve_many(field: Field, targets, generators) -> list:
     the generator rank; its canonical coefficients are read from the pivot
     rows.  Returns one coefficient list (or None) per target.
     """
-    gens = [tuple(field.element(e) for e in _flatten_vector(g)) for g in generators]
-    tgts = [tuple(field.element(e) for e in _flatten_vector(t)) for t in targets]
+    gens = [tuple(field.element(e) for e in g) for g in generators]
+    tgts = [tuple(field.element(e) for e in t) for t in targets]
     if len({len(v) for v in gens + tgts}) > 1:
         raise errors.ShapeError("span_solve vectors have mixed lengths")
     s = len(gens)
@@ -294,7 +273,7 @@ def complete_to_invertible(field: Field, n: int, vectors) -> Matrix:
     standard basis vectors with the smallest indices that keep independence.
     Both are the pivot columns of one elimination of [inputs | I].
     """
-    cols = [tuple(field.element(e) for e in _flatten_vector(v)) for v in vectors]
+    cols = [tuple(field.element(e) for e in v) for v in vectors]
     for c in cols:
         if len(c) != n:
             raise errors.ShapeError(f"expected height-{n} vectors")
@@ -346,8 +325,7 @@ def matrix_from_json(obj) -> Matrix:
     field = field_from_json(obj["field"])
     rows, cols = obj["rows"], obj["cols"]
     for key, value in (("rows", rows), ("cols", cols)):
-        if type(value) is not int or value < 1:
-            raise errors.ParseError(f"matrix {key!r} must be a positive int, got {value!r}")
+        errors._check_positive_int(value, f"matrix {key!r}")
     entries = obj["entries"]
     if not isinstance(entries, list) or len(entries) != rows:
         raise errors.ParseError(f"matrix 'entries' must be a list of {rows} rows")

@@ -21,17 +21,6 @@ from .finite_solver import solve_finite
 DEFAULT_CAP = 10 ** 7
 
 
-@dataclass(frozen=True)
-class GlEnumeration:
-    field: Field
-    n: int
-    matrices: tuple[Matrix, ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.matrices)
-
-
 @lru_cache(maxsize=None)
 def _gl_matrices(field: Field, n: int) -> tuple[Matrix, ...]:
     zero = field.zero
@@ -44,14 +33,14 @@ def _gl_matrices(field: Field, n: int) -> tuple[Matrix, ...]:
     return tuple(found)
 
 
-def enumerate_gl(field: Field, n: int, cap: int = DEFAULT_CAP) -> GlEnumeration:
+def enumerate_gl(field: Field, n: int, cap: int = DEFAULT_CAP) -> tuple[Matrix, ...]:
     """All invertible n x n matrices, in lexicographic order of their entries."""
     if not field.is_finite:
         raise errors.InfiniteFieldError("GL enumeration needs a finite field")
     candidates = field.cardinality ** (n * n)
     if candidates > cap:
         raise errors.TooLargeError(f"{candidates} candidate matrices exceed the cap of {cap}")
-    return GlEnumeration(field, n, _gl_matrices(field, n))
+    return _gl_matrices(field, n)
 
 
 def _flat(matrix: Matrix) -> tuple:
@@ -76,9 +65,8 @@ def brute_force_witness(matrices, cap: int = DEFAULT_CAP) -> Witness | None:
     for M in matrices:
         if M.field != field or M.rows != n or M.cols != m:
             raise errors.ShapeError("matrices of mixed shapes or fields")
-    gl = enumerate_gl(field, n, cap)
     k = len(matrices)
-    pool = (Matrix.zero(field, n, n),) + gl.matrices
+    pool = (Matrix.zero(field, n, n),) + enumerate_gl(field, n, cap)
     if (len(pool)) ** k > cap:
         raise errors.TooLargeError(f"{len(pool) ** k} candidate tuples exceed the cap of {cap}")
 

@@ -26,9 +26,8 @@ All choices (kernel vectors, span expansions, scan order, smallest bad index
 first) are canonical, so witnesses are reproducible byte for byte.
 
 The same recursion runs over a finite field via solve_unsafe_finite, where the
-scalar scan walks the field's nonzero elements instead and can genuinely
-exhaust them (ExhaustedBoundError).  It guards the cardinality |K| > n*(m+2)
-and falls back to the kernel-method solver if the scan ever exhausts.
+scalar scan walks the field's nonzero elements instead.  It requires
+|K| > n*(m+2), which keeps that scan from exhausting (see solve_unsafe_finite).
 
 Post-conditions are explicit checks raising PostconditionError, so they also
 run under python -O.
@@ -43,7 +42,6 @@ from . import errors
 from .certificate import Witness, _check_instance, witness_from_matrices
 from .fields import Field, RationalField
 from .matrix import Matrix, det, find_gl_transform, kernel_basis, rref, span_solve_many
-from .finite_solver import solve_finite
 
 
 @dataclass(frozen=True)
@@ -69,7 +67,14 @@ def solve_rational(matrices, observer: Observer = None) -> Witness:
 
 
 def solve_unsafe_finite(matrices, observer: Observer = None) -> Witness:
-    """Run the recursive algorithm over a finite field, guarded and with fallback."""
+    """Run the recursive algorithm over a finite field with |K| > n*(m+2).
+
+    The guard keeps every correction scalar scan from exhausting.  A correction
+    has at most m+1 conditions, and each is a nonzero polynomial in x of degree
+    at most n: det(g_j + x*I) is monic, and det(g_i - x*A_i) is det(g_i) != 0
+    at x = 0.  So at most n*(m+1) < |K| - 1 nonzero scalars are bad, and
+    recursion only lowers m.
+    """
     matrices = list(matrices)
     field, n, m = _check_instance(matrices)
     if not field.is_finite:
@@ -79,10 +84,7 @@ def solve_unsafe_finite(matrices, observer: Observer = None) -> Witness:
             f"field of size {field.cardinality} is too small for the recursive mode "
             f"(need > {n * (m + 2)}); use solve_finite"
         )
-    try:
-        return _solve_entry(matrices, observer)
-    except errors.ExhaustedBoundError:
-        return solve_finite(matrices)
+    return _solve_entry(matrices, observer)
 
 
 def _solve_entry(matrices: list[Matrix], observer: Observer) -> Witness:
@@ -176,7 +178,7 @@ def row_dependences(matrices) -> list[tuple]:
         stacked = Matrix.from_rows(field, [[M.entries[r][c] for M in matrices] for c in range(m)])
         kernel = kernel_basis(stacked)
         errors.check(bool(kernel), f"row slice {r}: {m + 1} vectors of length {m} are independent")
-        out.append(kernel[0].column_tuple(0))
+        out.append(kernel[0])
     return out
 
 

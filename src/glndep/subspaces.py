@@ -118,14 +118,14 @@ class SubspaceWitness:
                     self.field.validate(e)
 
 
-def solve_subspace_dependence(subspaces, n: int, cap: int = 10 ** 7) -> SubspaceWitness | None:
+def solve_subspace_dependence(subspaces, n: int) -> SubspaceWitness | None:
     """Witness that the subspaces are GL(n)-dependent, or None.
 
     With k >= m+1 subspaces the field-appropriate matrix solver always
     succeeds on the canonical representative matrices.  With fewer subspaces
     the answer can go either way; over a finite field the brute-force oracle
-    decides it, while over the rationals fewer than m+1 subspaces raise
-    TooFewMatricesError.
+    decides it under its default cap, while over the rationals fewer than m+1
+    subspaces raise TooFewMatricesError.
     """
     subspaces = list(subspaces)
     if not subspaces:
@@ -143,7 +143,7 @@ def solve_subspace_dependence(subspaces, n: int, cap: int = 10 ** 7) -> Subspace
     if len(subspaces) >= m + 1:
         witness = solve_finite(reps) if field.is_finite else solve_rational(reps)
     elif field.is_finite:
-        witness = brute_force_witness(reps, cap=cap)
+        witness = brute_force_witness(reps)
         if witness is None:
             return None
     else:
@@ -213,8 +213,7 @@ def subspace_to_json(subspace: Subspace) -> dict:
 def _subspaces_from_rows(field: Field, ambient, groups) -> list[Subspace]:
     """One subspace per group of spanning rows decoded from JSON; ParseError
     unless ambient is a positive int and every row a list of ambient entries."""
-    if type(ambient) is not int or ambient < 1:
-        raise errors.ParseError(f"'ambient' must be a positive int, got {ambient!r}")
+    errors._check_positive_int(ambient, "'ambient'")
     if not isinstance(groups, list):
         raise errors.ParseError("subspaces must be given as lists of spanning rows")
     dec = field.element_from_json
@@ -227,11 +226,6 @@ def _subspaces_from_rows(field: Field, ambient, groups) -> list[Subspace]:
                 raise errors.ParseError(f"each spanning row must be a list of {ambient} entries")
         out.append(Subspace.from_vectors(field, ambient, [[dec(e) for e in row] for row in rows]))
     return out
-
-
-def subspace_from_json(obj) -> Subspace:
-    errors._check_object(obj, "subspace", ("field", "ambient", "basis"))
-    return _subspaces_from_rows(field_from_json(obj["field"]), obj["ambient"], [obj["basis"]])[0]
 
 
 def subspace_witness_to_json(witness: SubspaceWitness) -> dict:
@@ -247,6 +241,8 @@ def subspace_witness_to_json(witness: SubspaceWitness) -> dict:
 
 def subspace_witness_from_json(obj) -> SubspaceWitness:
     errors._check_object(obj, "subspace witness", ("field", "ambient", "n", "flags", "vectors"))
+    errors._check_positive_int(obj["ambient"], "subspace witness 'ambient'")
+    errors._check_positive_int(obj["n"], "subspace witness 'n'")
     field = field_from_json(obj["field"])
     dec = field.element_from_json
     try:

