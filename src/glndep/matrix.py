@@ -1,10 +1,9 @@
 """Dense exact matrices over a Field, and the elimination behind every matrix question.
 
 Matrices are immutable row-major tuples of canonical field elements; a vector
-is a plain tuple of them.
-RREF, rank, kernel, determinant, inverse and span solving all read one
-Gauss-Jordan pass.  Pivoting is always "first nonzero", never by magnitude, so
-every result is deterministic and reproducible.
+is a plain tuple of them.  RREF, rank, kernel, determinant, inverse and span
+solving all read one Gauss-Jordan pass.  Pivoting is always "first nonzero",
+never by magnitude, so every result is deterministic and reproducible.
 """
 
 from __future__ import annotations

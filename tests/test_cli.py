@@ -2,7 +2,6 @@
 
 import json
 
-import pytest
 
 from glndep.certificate import instance_to_json, witness_from_json
 from glndep.cli import main
@@ -233,18 +232,9 @@ def test_subspace_row_of_wrong_length_is_input_error(tmp_path):
     assert main(["subspace-solve", "--input", str(inp), "--n", "1"]) == 3
     inp.write_text(json.dumps(dict(family, ambient=0, subspaces=[[], []])))
     assert main(["subspace-solve", "--input", str(inp), "--n", "1"]) == 3
-    inp.write_text(json.dumps(dict(family, subspaces=5)))
+    inp.write_text(json.dumps(dict(family, ambient="2", subspaces=[[], []])))
     assert main(["subspace-solve", "--input", str(inp), "--n", "1"]) == 3
-
-
-@pytest.mark.parametrize(
-    "ambient, rows",
-    [(0, []), (2, [["1", "0", "0"]]), ("2", [])],
-    ids=["ambient-zero", "row-wrong-length", "ambient-string"],
-)
-def test_subspace_solve_rejects_bad_shape(tmp_path, ambient, rows):
-    inp = tmp_path / "family.json"
-    inp.write_text(json.dumps({"field": {"kind": "rational"}, "ambient": ambient, "subspaces": [rows]}))
+    inp.write_text(json.dumps(dict(family, subspaces=5)))
     assert main(["subspace-solve", "--input", str(inp), "--n", "1"]) == 3
 
 

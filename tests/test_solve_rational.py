@@ -331,7 +331,8 @@ def test_unsafe_finite_on_large_prime_field():
     verify_witness(mats, witness)
 
 
-# The smallest admissible fields, |K| > n*(m+2): prime, and a prime power that is not prime.
+# (n, m) -> (p, (q, k)): GF(p) is the smallest prime field and GF(q^k) the
+# smallest field of non-prime order with |K| > n*(m+2).
 SMALLEST_ADMISSIBLE = {
     (1, 1): (5, (2, 2)), (1, 2): (5, (2, 3)), (1, 3): (7, (2, 3)),
     (2, 1): (7, (2, 3)), (2, 2): (11, (3, 2)), (2, 3): (11, (2, 4)),
