@@ -405,6 +405,16 @@ def test_subspace_json_canonicalizes():
     assert spaces == [Subspace.from_vectors(QQ, 2, [(1, 1)])]
 
 
+@pytest.mark.parametrize(
+    "ambient, basis",
+    [(0, []), (2, [["1", "0", "0"]]), ("2", [])],
+    ids=["ambient-zero", "row-wrong-length", "ambient-string"],
+)
+def test_subspace_from_json_rejects_bad_shape(ambient, basis):
+    with pytest.raises(errors.ParseError):
+        _subspaces_from_rows(QQ, ambient, [basis])
+
+
 def test_subspace_witness_json_round_trip():
     lines = [line(QQ, v) for v in [(1, 0), (0, 1), (1, 1)]]
     witness = solve_subspace_dependence(lines, 1)
