@@ -10,8 +10,6 @@ serve as the trust anchor for every solver in the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import errors
 from .fields import Field, field_from_json, field_to_json
 from .matrix import Matrix, det, matrix_from_json, matrix_to_json
@@ -36,12 +34,10 @@ class VerificationError(errors.Error):
         super().__init__(f"{reason}{where}" + (f": {detail}" if detail else ""))
 
 
-@dataclass(frozen=True)
-class Witness:
-    field: Field
-    n: int
-    entries: tuple[Matrix, ...]
-    tags: tuple[str, ...]
+class Witness(errors._Record):
+    """Multipliers g_1..g_k (n x n matrices over field), each tagged zero or inv."""
+
+    __slots__ = ("field", "n", "entries", "tags")
 
     def __post_init__(self):
         if len(self.entries) != len(self.tags) or not self.entries:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from fractions import Fraction
 
@@ -56,6 +55,8 @@ def _emit(obj, path: str | None) -> None:
 
 
 def _random_instance(field, n: int, m: int, k: int, seed: int):
+    import random  # here, not at the top: only --random pays for the import
+
     rng = random.Random(seed)
     matrices = []
     for _ in range(k):

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types, checks and the immutable record base shared across the package."""
 
 
 class Error(Exception):
@@ -72,3 +72,45 @@ def _check_positive_int(value, what: str) -> None:
     """Raise ParseError unless value is an int >= 1 (a bool or a float is not); what names it."""
     if type(value) is not int or value < 1:
         raise ParseError(f"{what} must be a positive int, got {value!r}")
+
+
+class _Record:
+    """Base of the package's immutable value types (Matrix, Witness, Subspace, ...).
+
+    A subclass lists its fields in ``__slots__`` and checks them in
+    ``__post_init__``; the constructor takes the values in that order.
+    Setting or deleting an attribute afterwards raises AttributeError.  Two
+    records are equal when they have the same type and equal fields, and
+    equal records hash equal.  A plain slots class costs no import and no
+    per-class code generation when the package loads.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        names = self.__slots__
+        if len(values) != len(names):
+            raise TypeError(f"{type(self).__name__} takes {len(names)} values, got {len(values)}")
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())

@@ -10,12 +10,15 @@ canonical form; structure constructors re-check canonicity and fail fast.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator
+from functools import lru_cache
 
 from . import errors
 
 # Keeps products of residues inside comfortable native-int territory.
 MAX_PRIME = 2 ** 31
+# GF(p^k) with at most this many elements does its arithmetic by table lookup.
+# The tables of GF(2^16) would take an estimated 0.4 s or more to build.
+_TABLE_LIMIT = 256
 
 
 def is_prime(n: int) -> bool:
@@ -47,7 +50,7 @@ class Field:
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
-    def elements(self) -> Iterator:
+    def elements(self):
         raise errors.InfiniteFieldError(f"{self!r} has infinitely many elements")
 
     def element_from_index(self, i: int):
@@ -132,7 +135,9 @@ class ExtensionField(Field):
     An element is a length-k tuple of GF(p) residues, constant coefficient
     first.  If no modulus is given, the search takes the first irreducible in
     the counting order of coefficient vectors, so GF(p^k) is reproducible from
-    (p, k) alone.
+    (p, k) alone.  A field of at most _TABLE_LIMIT elements replaces the
+    polynomial add, neg, mul and inv below by lookups in its log/antilog and
+    Zech tables (see _table_arithmetic); both give the same tuples.
     """
 
     def __init__(self, p: int, k: int, modulus=None):
@@ -154,6 +159,9 @@ class ExtensionField(Field):
         self.cardinality = p ** k
         self.zero = (0,) * k
         self.one = (1,) + (0,) * (k - 1)
+        if self.cardinality <= _TABLE_LIMIT:
+            # Instance attributes shadow the polynomial methods of the class.
+            self.add, self.neg, self.mul, self.inv = _table_arithmetic(self)
 
     def __repr__(self):
         return f"GF({self.p}^{self.k})"
@@ -259,6 +267,68 @@ class ExtensionField(Field):
                 raise errors.ParseError(f"non-canonical {self!r} coefficient: {c!r}")
             coeffs.append(v)
         return tuple(coeffs)
+
+
+@lru_cache(maxsize=None)
+def _table_arithmetic(field: ExtensionField) -> tuple:
+    """add, neg, mul and inv of a small GF(p^k) by table lookup.
+
+    Cached per field, that is per (p, k, modulus).  With g the first
+    primitive element in counting order and q1 = p^k - 1: exp[i] = g^(i mod
+    q1) for i < 2*q1, so a sum of two logs needs no reduction; log[g^i] = i
+    and log[0] = None; and the Zech logarithm zech[d] = log(1 + g^d), so that
+    g^i + g^j = g^(i + zech[j - i]), where a negative j - i indexes from the
+    end of zech, which is j - i mod q1.  The tables are built with the
+    class's polynomial arithmetic, so both give the same tuples.
+    """
+    zero, one = field.zero, field.one
+    q1 = field.cardinality - 1
+    for g in field.elements():
+        if g == zero:
+            continue
+        powers = [one]
+        x = g
+        while x != one:
+            powers.append(x)
+            x = ExtensionField.mul(field, x, g)
+        if len(powers) == q1:
+            break
+    errors.check(len(powers) == q1, f"{field!r} has no primitive element")
+    exp = powers * 2
+    log = {e: i for i, e in enumerate(powers)}
+    log[zero] = None
+    zech = [log[ExtensionField.add(field, one, e)] for e in powers]
+    log_minus_one = q1 // 2 if field.p != 2 else 0  # -1 = g^(q1/2), or 1 in characteristic 2
+    name = repr(field)
+
+    def add(a, b):
+        i = log[a]
+        if i is None:
+            return b
+        j = log[b]
+        if j is None:
+            return a
+        z = zech[j - i]
+        return zero if z is None else exp[i + z]
+
+    def neg(a):
+        i = log[a]
+        return a if i is None else exp[i + log_minus_one]
+
+    def mul(a, b):
+        i = log[a]
+        j = log[b]
+        if i is None or j is None:
+            return zero
+        return exp[i + j]
+
+    def inv(a):
+        i = log[a]
+        if i is None:
+            raise ZeroDivisionError(f"inverse of zero in {name}")
+        return exp[q1 - i]
+
+    return add, neg, mul, inv
 
 
 class RationalField(Field):
@@ -471,7 +541,7 @@ def _poly_gcd(field: Field, a, b) -> list:
     return a
 
 
-def monic_polynomials(field: Field, degree: int) -> Iterator[list]:
+def monic_polynomials(field: Field, degree: int):
     """All monic polynomials of the given degree, in counting order.
 
     Lower coefficients vary fastest, so the order agrees with reading the

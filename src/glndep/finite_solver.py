@@ -12,7 +12,7 @@ from __future__ import annotations
 from . import errors
 from .certificate import Witness, _check_instance, witness_from_matrices
 from .fullrank import build_fullrank_basis
-from .matrix import Matrix, kernel_basis
+from .matrix import Matrix, _trusted, kernel_basis
 
 
 def solve_finite(matrices) -> Witness:
@@ -30,7 +30,7 @@ def solve_finite(matrices) -> Witness:
 
     # Unknown i*n + t is the coefficient of B_t in g_i; its column is B_t M_i, flattened row-major.
     columns = [tuple(e for row in (b * M).entries for e in row) for M in head for b in basis.basis]
-    kernel = kernel_basis(Matrix(field, tuple(zip(*columns))))
+    kernel = kernel_basis(_trusted(field, tuple(zip(*columns))))
     errors.check(bool(kernel), f"({m + 1})*{n} unknowns vs {m * n} equations left no kernel vector")
     coeffs = kernel[0]
     zero = field.zero

@@ -10,21 +10,18 @@ re-verifies that claim exhaustively instead of trusting it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
 from . import errors
 from .fields import Field, field_from_json, field_to_json, find_irreducible
-from .matrix import Matrix, det, matrix_from_json, matrix_to_json
+from .matrix import Matrix, _trusted, det, matrix_from_json, matrix_to_json
 
 
-@dataclass(frozen=True)
-class FullRankBasis:
-    field: Field
-    n: int
-    modulus: tuple
-    basis: tuple[Matrix, ...]
+class FullRankBasis(errors._Record):
+    """The basis I, C, ..., C^(n-1) of H for (field, n), C the companion matrix of modulus."""
+
+    __slots__ = ("field", "n", "modulus", "basis")
 
 
 def companion_matrix(field: Field, modulus) -> Matrix:
@@ -42,7 +39,7 @@ def companion_matrix(field: Field, modulus) -> Matrix:
             row[i - 1] = o
         row[n - 1] = field.neg(modulus[i])
         rows.append(tuple(row))
-    return Matrix(field, tuple(rows))
+    return _trusted(field, tuple(rows))
 
 
 @lru_cache(maxsize=None)

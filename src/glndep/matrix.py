@@ -8,16 +8,20 @@ never by magnitude, so every result is deterministic and reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import errors
 from .fields import Field, field_from_json, field_to_json
 
 
-@dataclass(frozen=True)
-class Matrix:
-    field: Field
-    entries: tuple[tuple, ...]
+class Matrix(errors._Record):
+    """An immutable matrix: its field and a non-empty tuple of equal-length row tuples.
+
+    Matrix(field, entries) and the from_* constructors validate every entry,
+    as does matrix_from_json; zero and identity check their shape.  Results of
+    the module's own arithmetic and elimination are canonical by construction
+    and skip that check (see _trusted).
+    """
+
+    __slots__ = ("field", "entries")
 
     def __post_init__(self):
         entries = self.entries
@@ -54,17 +58,20 @@ class Matrix:
         cols = [tuple(field.element(e) for e in col) for col in cols]
         if not cols:
             raise errors.ShapeError("matrix needs at least one column")
+        if len({len(col) for col in cols}) > 1:
+            raise errors.ShapeError("ragged matrix columns")
         return cls(field, tuple(zip(*cols)))
 
     @classmethod
     def zero(cls, field: Field, rows: int, cols: int) -> "Matrix":
-        z = field.zero
-        return cls(field, tuple((z,) * cols for _ in range(rows)))
+        _check_shape(rows, cols)
+        return _trusted(field, ((field.zero,) * cols,) * rows)
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
+        _check_shape(n, n)
         z, o = field.zero, field.one
-        return cls(field, tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)))
+        return _trusted(field, tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)))
 
     def _check_same_field(self, other: "Matrix") -> None:
         if self.field != other.field:
@@ -84,7 +91,7 @@ class Matrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise errors.ShapeError(f"{self.rows}x{self.cols} + {other.rows}x{other.cols}")
         add = self.field.add
-        return Matrix(
+        return _trusted(
             self.field,
             tuple(tuple(add(a, b) for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
         )
@@ -96,7 +103,7 @@ class Matrix:
 
     def __neg__(self):
         neg = self.field.neg
-        return Matrix(self.field, tuple(tuple(neg(e) for e in row) for row in self.entries))
+        return _trusted(self.field, tuple(tuple(neg(e) for e in row) for row in self.entries))
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -117,24 +124,48 @@ class Matrix:
                         acc = add(acc, mul(a, bent[t][j]))
                 row.append(acc)
             out.append(tuple(row))
-        return Matrix(f, tuple(out))
+        return _trusted(f, tuple(out))
 
     def scale(self, c) -> "Matrix":
         f = self.field
         f.validate(c)
         mul = f.mul
-        return Matrix(f, tuple(tuple(mul(c, e) for e in row) for row in self.entries))
+        return _trusted(f, tuple(tuple(mul(c, e) for e in row) for row in self.entries))
 
     def __repr__(self):
         rows = ", ".join("[" + ", ".join(repr(e) for e in row) + "]" for row in self.entries)
         return f"Matrix({self.field!r}, [{rows}])"
 
 
-@dataclass(frozen=True)
-class RrefResult:
-    rref: Matrix
-    pivot_cols: tuple[int, ...]
-    rank: int
+# The setters of Matrix's slots: object.__setattr__ also gets past the
+# __setattr__ that blocks them, but takes about twice as long.
+_set_field = Matrix.field.__set__
+_set_entries = Matrix.entries.__set__
+
+
+def _trusted(field: Field, entries: tuple) -> Matrix:
+    """The one unvalidated Matrix constructor, for entries that are canonical by construction.
+
+    The caller guarantees a non-empty tuple of equal-length, non-empty row
+    tuples of canonical elements of field: sums, products and eliminations of
+    valid matrices, or rows assembled from already validated elements.
+    Anything read from outside goes through Matrix(field, entries).
+    """
+    m = object.__new__(Matrix)
+    _set_field(m, field)
+    _set_entries(m, entries)
+    return m
+
+
+def _check_shape(rows: int, cols: int) -> None:
+    if rows < 1:
+        raise errors.ShapeError("matrix needs at least one row")
+    if cols < 1:
+        raise errors.ShapeError("matrix needs at least one column")
+
+
+class RrefResult(errors._Record):
+    __slots__ = ("rref", "pivot_cols", "rank")
 
 
 def _gauss_jordan(field: Field, rows, limit: int):
@@ -180,7 +211,7 @@ def _gauss_jordan(field: Field, rows, limit: int):
 
 def rref(matrix: Matrix) -> RrefResult:
     work, pivot_cols, _ = _gauss_jordan(matrix.field, matrix.entries, matrix.cols)
-    return RrefResult(Matrix(matrix.field, tuple(map(tuple, work))), pivot_cols, len(pivot_cols))
+    return RrefResult(_trusted(matrix.field, tuple(map(tuple, work))), pivot_cols, len(pivot_cols))
 
 
 def kernel_basis(matrix: Matrix) -> list[tuple]:
@@ -223,7 +254,7 @@ def inverse(matrix: Matrix) -> Matrix:
     work, pivot_cols, _ = _gauss_jordan(f, aug, n)
     if len(pivot_cols) != n:
         raise ValueError("matrix is singular")
-    return Matrix(f, tuple(tuple(row[n:]) for row in work))
+    return _trusted(f, tuple(tuple(row[n:]) for row in work))
 
 
 def span_solve(field: Field, target, generators):

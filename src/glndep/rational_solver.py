@@ -35,30 +35,23 @@ run under python -O.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
-
 from . import errors
 from .certificate import Witness, _check_instance, witness_from_matrices
 from .fields import Field, RationalField
 from .matrix import Matrix, det, find_gl_transform, kernel_basis, rref, span_solve_many
 
 
-@dataclass(frozen=True)
-class CorrectionRecord:
-    """Snapshot of one repair of a singular multiplier, for instrumentation."""
-    bad_index: int
-    x: object
-    n_conditions: int
-    good_before: frozenset
-    good_after: frozenset
-    gs_after: tuple[Matrix, ...]
+class CorrectionRecord(errors._Record):
+    """Snapshot of one repair of a singular multiplier, for instrumentation.
+
+    The solvers' optional observer argument is a callable that receives one
+    record per correction made.
+    """
+
+    __slots__ = ("bad_index", "x", "n_conditions", "good_before", "good_after", "gs_after")
 
 
-Observer = Optional[Callable[[CorrectionRecord], None]]
-
-
-def solve_rational(matrices, observer: Observer = None) -> Witness:
+def solve_rational(matrices, observer=None) -> Witness:
     """Witness for k >= m+1 rational n x m matrices."""
     matrices = list(matrices)
     if matrices and not isinstance(matrices[0].field, RationalField):
@@ -66,7 +59,7 @@ def solve_rational(matrices, observer: Observer = None) -> Witness:
     return _solve_entry(matrices, observer)
 
 
-def solve_unsafe_finite(matrices, observer: Observer = None) -> Witness:
+def solve_unsafe_finite(matrices, observer=None) -> Witness:
     """Run the recursive algorithm over a finite field with |K| > n*(m+2).
 
     The guard keeps every correction scalar scan from exhausting.  A correction
@@ -87,7 +80,7 @@ def solve_unsafe_finite(matrices, observer: Observer = None) -> Witness:
     return _solve_entry(matrices, observer)
 
 
-def _solve_entry(matrices: list[Matrix], observer: Observer) -> Witness:
+def _solve_entry(matrices: list[Matrix], observer) -> Witness:
     field, n, m = _check_instance(matrices)
     k = len(matrices)
     zero_g = Matrix.zero(field, n, n)
@@ -111,7 +104,7 @@ def _weighted_sum(gs, matrices) -> Matrix:
     return total
 
 
-def _solve_core(matrices: list[Matrix], observer: Observer) -> list[Matrix]:
+def _solve_core(matrices: list[Matrix], observer) -> list[Matrix]:
     """Multipliers for exactly m+1 nonzero matrices."""
     field = matrices[0].field
     n, m = matrices[0].rows, matrices[0].cols
@@ -207,7 +200,7 @@ def find_row_outside_span(matrices) -> tuple[tuple[int, int] | None, list]:
     return None, expansions
 
 
-def project_and_recurse(matrices, j: int, observer: Observer = None) -> list[Matrix]:
+def project_and_recurse(matrices, j: int, observer=None) -> list[Matrix]:
     """Drop matrix j, rewrite the rest in coordinates of their row span, recurse.
 
     Requires that some row of matrix j lies outside that span, so the span has

@@ -11,12 +11,10 @@ subspace witnesses independently of the solvers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import errors
 from .certificate import TAG_ZERO
 from .fields import Field, field_from_json, field_to_json
-from .matrix import Matrix, rref, span_solve_many
+from .matrix import Matrix, _trusted, rref, span_solve_many
 from .oracle import brute_force_witness
 from .finite_solver import solve_finite
 from .rational_solver import solve_rational
@@ -43,13 +41,10 @@ class SubspaceVerificationError(errors.Error):
         super().__init__(f"{reason}{where}" + (f": {detail}" if detail else ""))
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(errors._Record):
     """A subspace of K^m in canonical form: the nonzero rows of an RREF basis."""
 
-    field: Field
-    ambient: int
-    basis: tuple[tuple, ...]
+    __slots__ = ("field", "ambient", "basis")
 
     def __post_init__(self):
         if self.ambient < 1:
@@ -91,16 +86,13 @@ def representative_matrix(subspace: Subspace, n: int) -> Matrix:
     field = subspace.field
     zero_row = (field.zero,) * subspace.ambient
     rows = list(subspace.basis) + [zero_row] * (n - subspace.dim)
-    return Matrix(field, tuple(rows))
+    return _trusted(field, tuple(rows))
 
 
-@dataclass(frozen=True)
-class SubspaceWitness:
-    field: Field
-    ambient: int
-    n: int
-    vectors: tuple[tuple[tuple, ...], ...]
-    flags: tuple[str, ...]
+class SubspaceWitness(errors._Record):
+    """Per subspace, n vectors of K^ambient and a flag: "full" (they span it) or "zero"."""
+
+    __slots__ = ("field", "ambient", "n", "vectors", "flags")
 
     def __post_init__(self):
         if len(self.vectors) != len(self.flags) or not self.vectors:

@@ -37,6 +37,15 @@ def _identity_minus_identity(field, n, m, rng):
     return [matrix, matrix], witness
 
 
+def test_witness_is_immutable():
+    witness = witness_from_matrices(GF2, [Matrix.identity(GF2, 1), Matrix.identity(GF2, 1)])
+    for name in ("field", "n", "entries", "tags", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(witness, name, None)
+    with pytest.raises(AttributeError):
+        del witness.tags
+
+
 def test_verify_accepts_identity_pair():
     rng = random.Random(1)
     for field in (GF3, QQ):

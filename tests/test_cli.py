@@ -238,6 +238,28 @@ def test_subspace_row_of_wrong_length_is_input_error(tmp_path):
     assert main(["subspace-solve", "--input", str(inp), "--n", "1"]) == 3
 
 
+def test_cli_import_adds_no_heavy_modules():
+    # Every CLI process pays for what `import glndep.cli` loads.  Compared
+    # against a bare interpreter, so modules that site preloads do not count.
+    import os
+    import subprocess
+    import sys
+
+    import glndep
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(glndep.__file__)))
+
+    def loaded(statement):
+        script = f"import sys\n{statement}\nprint(' '.join(sys.modules))"
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stdout.split())
+
+    added = loaded("import glndep.cli") - loaded("pass")
+    assert "glndep.cli" in added
+    assert not added & {"dataclasses", "inspect", "typing", "random"}
+
+
 def test_console_entry_point():
     import subprocess
     import sys

@@ -1,5 +1,6 @@
 """Field arithmetic: construction, canonical forms, axioms, and JSON encoding."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -263,6 +264,45 @@ def test_multiplicative_group_closed(field):
         assert field.mul(a, field.inv(a)) == field.one
         for b in nonzero:
             assert field.mul(a, b) in seen
+
+
+# log/antilog and Zech tables (fields of at most 256 elements)
+
+def _assert_tables_agree(field, pairs):
+    """The table arithmetic of field returns what the polynomial methods of
+    its class return, on every pair given and on each element of them."""
+    assert "mul" in vars(field), f"{field!r} has no tables"
+    E = ExtensionField
+    for a, b in pairs:
+        assert field.add(a, b) == E.add(field, a, b), (a, b)
+        assert field.mul(a, b) == E.mul(field, a, b), (a, b)
+        assert field.sub(a, b) == E.add(field, a, E.neg(field, b)), (a, b)
+        for x in (a, b):
+            assert field.neg(x) == E.neg(field, x), x
+            if x != field.zero:
+                assert field.inv(x) == E.inv(field, x), x
+    with pytest.raises(ZeroDivisionError):
+        field.inv(field.zero)
+
+
+@pytest.mark.parametrize("p, k", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)])
+def test_tables_match_polynomial_arithmetic_on_every_pair(p, k):
+    field = ExtensionField(p, k)
+    elements = list(field.elements())
+    _assert_tables_agree(field, [(a, b) for a in elements for b in elements])
+
+
+def test_gf256_tables_match_polynomial_arithmetic():
+    field = ExtensionField(2, 8)
+    rng = random.Random(256)
+    picks = [field.zero, field.one] + [field.element_from_index(rng.randrange(256)) for _ in range(80)]
+    _assert_tables_agree(field, [(a, b) for a in picks for b in picks])
+
+
+def test_tables_stop_at_256_elements():
+    assert "mul" in vars(ExtensionField(2, 8))
+    assert "mul" not in vars(ExtensionField(2, 9))
+    assert "mul" not in vars(ExtensionField(17, 2))
 
 
 # selectors and JSON

@@ -51,6 +51,110 @@ def test_construction_rejects_bad_shapes():
         Matrix.from_rows(GF2, [[1, 0], [1]])
 
 
+# The trust boundary: what comes from outside is validated; the module's own
+# results (sums, products, eliminations) are built without re-validation.
+
+# (field, a 1 x 1 matrix's entries, a non-canonical JSON entry)
+NON_CANONICAL = [
+    (GF3, ((5,),), "5"), (GF3, ((-1,),), "-1"), (QQ, ((0.5,),), "1/0"), (GF4, ((1,),), "1"),
+    (GF4, (((1, 2),),), ["1", "2"]),
+]
+RAGGED = [((1, 0), (1,)), ((1,), (1, 0))]
+EMPTY = [(), ((),), ((), ())]
+
+
+@pytest.mark.parametrize("field, entries, json_entry", NON_CANONICAL)
+def test_every_public_constructor_rejects_non_canonical_entries(field, entries, json_entry):
+    rows = [list(row) for row in entries]
+    with pytest.raises((TypeError, ValueError)):
+        Matrix(field, entries)
+    with pytest.raises((TypeError, ValueError)):
+        Matrix.from_rows(field, rows)
+    with pytest.raises((TypeError, ValueError)):
+        Matrix.from_columns(field, rows)
+    obj = dict(matrix_to_json(Matrix.identity(field, 1)), entries=[[json_entry]])
+    with pytest.raises(errors.ParseError):
+        matrix_from_json(obj)
+
+
+@pytest.mark.parametrize("entries", RAGGED)
+def test_every_public_constructor_rejects_ragged_rows(entries):
+    rows = [list(row) for row in entries]
+    with pytest.raises(errors.ShapeError):
+        Matrix(GF2, entries)
+    with pytest.raises(errors.ShapeError):
+        Matrix.from_rows(GF2, rows)
+    with pytest.raises(errors.ShapeError):
+        Matrix.from_columns(GF2, rows)
+    obj = {"field": {"kind": "prime", "p": 2}, "rows": 2, "cols": 2,
+           "entries": [[str(e) for e in row] for row in entries]}
+    with pytest.raises(errors.ParseError):
+        matrix_from_json(obj)
+
+
+@pytest.mark.parametrize("entries", EMPTY)
+def test_every_public_constructor_rejects_empty_shapes(entries):
+    rows = [list(row) for row in entries]
+    with pytest.raises(errors.ShapeError):
+        Matrix(GF2, entries)
+    with pytest.raises(errors.ShapeError):
+        Matrix.from_rows(GF2, rows)
+    with pytest.raises(errors.ShapeError):
+        Matrix.from_columns(GF2, rows)
+    obj = {"field": {"kind": "prime", "p": 2}, "rows": len(rows), "cols": len(rows[0]) if rows else 0, "entries": rows}
+    with pytest.raises(errors.ParseError):
+        matrix_from_json(obj)
+
+
+def test_matrix_entries_must_be_tuples():
+    with pytest.raises(errors.ShapeError):
+        Matrix(GF2, [(1,)])
+    with pytest.raises(errors.ShapeError):
+        Matrix(GF2, ([1],))
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 2), (2, 0), (0, 0), (-1, 1)])
+def test_zero_and_identity_check_their_shape(rows, cols):
+    with pytest.raises(errors.ShapeError):
+        Matrix.zero(GF2, rows, cols)
+    if rows == cols:
+        with pytest.raises(errors.ShapeError):
+            Matrix.identity(GF2, rows)
+
+
+@pytest.mark.parametrize("field", [GF2, GF4, QQ])
+def test_trusted_results_equal_and_hash_like_validated_ones(field):
+    rng = random.Random(12)
+    for _ in range(10):
+        a = random_matrix(rng, field, 2, 3)
+        b = random_matrix(rng, field, 3, 2)
+        results = [a * b, a + a, -a, a.scale(field.one), rref(a).rref]
+        results += [inverse(Matrix.identity(field, 2)), Matrix.zero(field, 2, 3), Matrix.identity(field, 2)]
+        for m in results:
+            rebuilt = Matrix(field, tuple(tuple(row) for row in m.entries))
+            parsed = matrix_from_json(matrix_to_json(m))
+            assert m == rebuilt == parsed
+            assert hash(m) == hash(rebuilt) == hash(parsed)
+        assert len({Matrix.zero(field, 2, 2), Matrix.identity(field, 2) * Matrix.zero(field, 2, 2)}) == 1
+
+
+def test_scale_validates_its_scalar():
+    with pytest.raises(ValueError):
+        Matrix.identity(GF3, 2).scale(3)
+    with pytest.raises(TypeError):
+        Matrix.identity(QQ, 2).scale(1)
+
+
+def test_matrix_is_immutable():
+    m = Matrix.identity(GF2, 2)
+    for name, value in (("entries", ((0,),)), ("field", GF3), ("extra", 1)):
+        with pytest.raises(AttributeError):
+            setattr(m, name, value)
+    with pytest.raises(AttributeError):
+        del m.entries
+    assert m == Matrix.identity(GF2, 2)
+
+
 def test_basic_ops_and_shapes():
     m = Matrix.from_rows(GF3, [[1, 2], [0, 1]])
     ident = Matrix.identity(GF3, 2)

@@ -1,5 +1,7 @@
 """Brute-force oracle: GL enumeration, exhaustive witness search, theorem sweeps."""
 
+import hashlib
+import json
 from itertools import product
 
 import pytest
@@ -9,6 +11,7 @@ from glndep.certificate import verify_witness, witness_from_matrices
 from glndep.fields import ExtensionField, PrimeField
 from glndep.matrix import Matrix, det
 from glndep.oracle import (
+    _gl_matrices,
     brute_force_witness,
     enumerate_gl,
     exhaustive_theorem_check,
@@ -118,6 +121,41 @@ def test_brute_force_cap():
     mats = [Matrix.identity(GF3, 2)] * 3
     with pytest.raises(errors.TooLargeError):
         brute_force_witness(mats, cap=100)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_brute_force_refuses_before_enumerating_gl(p):
+    # 1 + |GL(3, p)| candidates per slot; three slots exceed the default cap,
+    # while p^9 candidate matrices alone would not.
+    field = PrimeField(p)
+    mats = [Matrix.from_rows(field, [[1], [0], [0]])] * 3
+    before = _gl_matrices.cache_info()
+    with pytest.raises(errors.TooLargeError, match="candidate tuples"):
+        brute_force_witness(mats)
+    assert _gl_matrices.cache_info() == before
+
+
+# sha256 of report_to_json's sorted-key JSON, computed before the sweep
+# shared one product table between its instances.
+SWEEP_REPORT_SHA256 = {
+    (2, 1, 2): "6d341d2604d887d6270f350bcb7ddd0efbec7029faeba3dcd768bc9228e13a2c",
+    (3, 1, 2): "37f360f6987cb9b11126d04de5a32b7be5583ed4189494bf54dd157b8041979f",
+    (2, 2, 1): "5af24b1d142c04c6bf342c50b43a00891f4c6d57b8a9843aaa839adfbac2e1b8",
+}
+
+
+@pytest.mark.parametrize("q, n, m", sorted(SWEEP_REPORT_SHA256))
+def test_sweep_report_bytes_are_pinned(q, n, m):
+    report = report_to_json(exhaustive_theorem_check(PrimeField(q), n, m))
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert digest == SWEEP_REPORT_SHA256[(q, n, m)]
+
+
+def test_theorem_sweep_keeps_the_tuple_cap():
+    # 1 + |GL(4, 2)| = 20,161 candidates per slot, squared, exceed the cap
+    # although the 256 instances and the 2^16 candidate matrices do not.
+    with pytest.raises(errors.TooLargeError, match="candidate tuples"):
+        exhaustive_theorem_check(GF2, 4, 1)
 
 
 def test_theorem_sweep_tiny():

@@ -53,6 +53,15 @@ def test_subspace_rejects_a_basis_that_is_not_canonical(basis):
         Subspace(QQ, 2, tuple(tuple(Fraction(e) for e in row) for row in basis))
 
 
+def test_subspace_is_immutable():
+    space = Subspace.from_vectors(QQ, 2, [[1, 2]])
+    for name in ("field", "ambient", "basis", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(space, name, None)
+    with pytest.raises(AttributeError):
+        del space.basis
+
+
 def test_row_space_of_identity_is_everything():
     m = Matrix.identity(QQ, 2)
     space = Subspace.from_vectors(m.field, m.cols, m.entries)
