@@ -45,11 +45,13 @@ class Witness(errors._Record):
         for tag in self.tags:
             if tag not in (TAG_ZERO, TAG_INVERTIBLE):
                 raise ValueError(f"unknown witness tag {tag!r}")
+        field, n = self.field, self.n
         for g in self.entries:
-            if g.field != self.field:
+            if g.field != field:
                 raise errors.FieldMismatchError("witness entry over the wrong field")
-            if g.rows != self.n or g.cols != self.n:
-                raise errors.ShapeError(f"witness entry must be {self.n}x{self.n}")
+            entries = g.entries
+            if len(entries) != n or len(entries[0]) != n:
+                raise errors.ShapeError(f"witness entry must be {n}x{n}")
 
 
 def witness_from_matrices(field: Field, gs) -> Witness:
@@ -77,8 +79,9 @@ def verify_witness(matrices, witness: Witness) -> None:
     for M in matrices:
         if M.field != field:
             raise VerificationError("field-mismatch", detail=f"{M.field!r} vs {field!r}")
-        if M.rows != n or M.cols != m:
-            raise VerificationError("shape-mismatch", detail=f"matrix is {M.rows}x{M.cols}")
+        entries = M.entries
+        if len(entries) != n or len(entries[0]) != m:
+            raise VerificationError("shape-mismatch", detail=f"matrix is {len(entries)}x{len(entries[0])}")
     zero = field.zero
     for i, (g, tag) in enumerate(zip(witness.entries, witness.tags)):
         if tag == TAG_ZERO:

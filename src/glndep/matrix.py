@@ -4,9 +4,17 @@ Matrices are immutable row-major tuples of canonical field elements; a vector
 is a plain tuple of them.  RREF, rank, kernel, determinant, inverse and span
 solving all read one Gauss-Jordan pass.  Pivoting is always "first nonzero",
 never by magnitude, so every result is deterministic and reproducible.
+
+Over QQ, elimination runs on Python ints: each row is cleared of
+denominators, and the reduced rows are normalised with one Fraction per entry
+at the end.  Every integer row is a nonzero multiple of the row that
+elimination on Fractions would hold, so the results are the same values.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd, lcm
 
 from . import errors
 from .fields import Field, field_from_json, field_to_json
@@ -44,10 +52,6 @@ class Matrix(errors._Record):
     @property
     def cols(self) -> int:
         return len(self.entries[0])
-
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
 
     @classmethod
     def from_rows(cls, field: Field, rows) -> "Matrix":
@@ -88,13 +92,12 @@ class Matrix(errors._Record):
         if not isinstance(other, Matrix):
             return NotImplemented
         self._check_same_field(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise errors.ShapeError(f"{self.rows}x{self.cols} + {other.rows}x{other.cols}")
+        a, b = self.entries, other.entries
+        rows, cols = len(a), len(a[0])
+        if rows != len(b) or cols != len(b[0]):
+            raise errors.ShapeError(f"{rows}x{cols} + {len(b)}x{len(b[0])}")
         add = self.field.add
-        return _trusted(
-            self.field,
-            tuple(tuple(add(a, b) for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
-        )
+        return _trusted(self.field, tuple(tuple(add(x, y) for x, y in zip(r1, r2)) for r1, r2 in zip(a, b)))
 
     def __sub__(self, other):
         if not isinstance(other, Matrix):
@@ -109,15 +112,16 @@ class Matrix(errors._Record):
         if not isinstance(other, Matrix):
             return NotImplemented
         self._check_same_field(other)
-        if self.cols != other.rows:
-            raise errors.ShapeError(f"{self.rows}x{self.cols} * {other.rows}x{other.cols}")
+        aent, bent = self.entries, other.entries
+        inner, cols = len(aent[0]), len(bent[0])
+        if inner != len(bent):
+            raise errors.ShapeError(f"{len(aent)}x{inner} * {len(bent)}x{cols}")
         f = self.field
         add, mul, z = f.add, f.mul, f.zero
-        bent = other.entries
         out = []
-        for arow in self.entries:
+        for arow in aent:
             row = []
-            for j in range(other.cols):
+            for j in range(cols):
                 acc = z
                 for t, a in enumerate(arow):
                     if a != z:
@@ -168,16 +172,20 @@ class RrefResult(errors._Record):
     __slots__ = ("rref", "pivot_cols", "rank")
 
 
-def _gauss_jordan(field: Field, rows, limit: int):
+def _gauss_jordan(field: Field, rows, limit: int, normalise: bool = True):
     """The one elimination pass behind every question in this module.
 
     Copies the rows and reduces the copy to reduced row echelon form, taking
     pivots first-nonzero and only in the leading `limit` columns; the columns
     after them are carried along, as in an augmented matrix.  Returns the
-    reduced rows (lists), the pivot columns, and the determinant factor: the
-    product of the pivots, negated once per row swap.  For a square matrix
-    with a pivot in every column that factor is its determinant.
+    reduced rows (lists), the pivot columns, and the determinant factor: when
+    every row holds a pivot, the product of the pivots, negated once per row
+    swap.  For a square matrix with a pivot in every column that factor is its
+    determinant.  Over QQ see _rational_gauss_jordan, which leaves the rows as
+    integers when normalise is false.
     """
+    if field.cardinality is None:
+        return _rational_gauss_jordan(rows, limit, normalise)
     z, o = field.zero, field.one
     add, mul, neg = field.add, field.mul, field.neg
     work = [list(row) for row in rows]
@@ -209,6 +217,71 @@ def _gauss_jordan(field: Field, rows, limit: int):
     return work, tuple(pivot_cols), factor
 
 
+def _rational_gauss_jordan(rows, limit: int, normalise: bool):
+    """_gauss_jordan over QQ, fraction-free on primitive integer rows (Bareiss 1968).
+
+    Each row is cleared of denominators and divided by its content, the gcd
+    of its entries.  A row update is pv*row - c*pivot_row, again divided by
+    its content, so every row stays a nonzero multiple of the row the Fraction
+    loop holds: the same entries are zero, and the pivots and swaps are the
+    same.  With normalise, each pivot row is divided by its pivot with one
+    Fraction per entry, which gives the Fraction loop's row; the rows below the
+    rank are returned up to a nonzero scale (callers only test them for zero).
+
+    The determinant factor follows det(rows) = (num / den) * det(work), kept
+    up to date as the rows are scaled, divided and swapped; at the end the
+    pivots of work are its only nonzero entries in the pivot columns.
+    """
+    work = []
+    num = den = 1
+    for row in rows:
+        dens = [e.denominator for e in row]
+        d = lcm(*dens)
+        ints = [e.numerator * (d // q) for e, q in zip(row, dens)]
+        g = gcd(*ints)
+        if g > 1:
+            ints = [e // g for e in ints]
+            num *= g
+        den *= d
+        work.append(ints)
+    nrows = len(work)
+    pivot_cols = []
+    for col in range(limit):
+        pr = len(pivot_cols)
+        if pr == nrows:
+            break
+        pivot = next((r for r in range(pr, nrows) if work[r][col]), None)
+        if pivot is None:
+            continue
+        if pivot != pr:
+            work[pr], work[pivot] = work[pivot], work[pr]
+            num = -num
+        src = work[pr]
+        pv = src[col]
+        for r, row in enumerate(work):
+            c = row[col]
+            if r != pr and c:
+                row = [pv * e - c * s for e, s in zip(row, src)]
+                den *= pv
+                g = gcd(*row)
+                if g > 1:
+                    row = [e // g for e in row]
+                    num *= g
+                work[r] = row
+        pivot_cols.append(col)
+    rank = len(pivot_cols)
+    z = Fraction(0)
+    factor = z
+    if rank == nrows:
+        for t, pc in enumerate(pivot_cols):
+            num *= work[t][pc]
+        factor = Fraction(num, den)
+    if normalise:
+        pivots = [work[t][pc] for t, pc in enumerate(pivot_cols)] + [1] * (nrows - rank)
+        work = [[Fraction(e, pv) if e else z for e in row] for row, pv in zip(work, pivots)]
+    return work, tuple(pivot_cols), factor
+
+
 def rref(matrix: Matrix) -> RrefResult:
     work, pivot_cols, _ = _gauss_jordan(matrix.field, matrix.entries, matrix.cols)
     return RrefResult(_trusted(matrix.field, tuple(map(tuple, work))), pivot_cols, len(pivot_cols))
@@ -222,13 +295,14 @@ def kernel_basis(matrix: Matrix) -> list[tuple]:
     matrix is injective.
     """
     f = matrix.field
-    reduced, pivot_cols, _ = _gauss_jordan(f, matrix.entries, matrix.cols)
+    cols = matrix.cols
+    reduced, pivot_cols, _ = _gauss_jordan(f, matrix.entries, cols)
     pivot_set = set(pivot_cols)
     basis = []
-    for free in range(matrix.cols):
+    for free in range(cols):
         if free in pivot_set:
             continue
-        vec = [f.zero] * matrix.cols
+        vec = [f.zero] * cols
         vec[free] = f.one
         for t, pc in enumerate(pivot_cols):
             vec[pc] = f.neg(reduced[t][free])
@@ -238,17 +312,18 @@ def kernel_basis(matrix: Matrix) -> list[tuple]:
 
 def det(matrix: Matrix):
     """Exact determinant: the pivot product of the elimination, signed by its row swaps."""
-    if not matrix.is_square:
-        raise errors.ShapeError(f"determinant of a {matrix.rows}x{matrix.cols} matrix")
-    _, pivot_cols, factor = _gauss_jordan(matrix.field, matrix.entries, matrix.cols)
-    return factor if len(pivot_cols) == matrix.rows else matrix.field.zero
+    n, cols = matrix.rows, matrix.cols
+    if n != cols:
+        raise errors.ShapeError(f"determinant of a {n}x{cols} matrix")
+    _, pivot_cols, factor = _gauss_jordan(matrix.field, matrix.entries, n, normalise=False)
+    return factor if len(pivot_cols) == n else matrix.field.zero
 
 
 def inverse(matrix: Matrix) -> Matrix:
-    if not matrix.is_square:
-        raise errors.ShapeError(f"inverse of a {matrix.rows}x{matrix.cols} matrix")
+    n, cols = matrix.rows, matrix.cols
+    if n != cols:
+        raise errors.ShapeError(f"inverse of a {n}x{cols} matrix")
     f = matrix.field
-    n = matrix.rows
     ident = Matrix.identity(f, n)
     aug = [r + i for r, i in zip(matrix.entries, ident.entries)]
     work, pivot_cols, _ = _gauss_jordan(f, aug, n)

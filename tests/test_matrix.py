@@ -2,11 +2,14 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_invertible, random_matrix
-from glndep import errors
+from glndep import errors, matrix as matrix_module
 from glndep.fields import ExtensionField, PrimeField, RationalField
 from glndep.matrix import (
     Matrix,
@@ -362,6 +365,141 @@ def test_complete_keeps_inputs_as_leading_columns():
 def test_complete_rejects_dependent_input():
     with pytest.raises(errors.DependentInputError):
         complete_to_invertible(QQ, 2, [(1, 0), (2, 0)])
+
+
+# QQ elimination runs on integers; it and the product must give exactly what
+# the same algorithms give on Fractions.
+
+def _reference_gauss_jordan(field, rows, limit, normalise=True):
+    """Gauss-Jordan on Fractions, first-nonzero pivots scaled to 1; the factor
+    is the product of the pivots, negated once per row swap.  The rows are
+    always normalised, whatever det asks for."""
+    work = [list(row) for row in rows]
+    pivot_cols, factor = [], Fraction(1)
+    for col in range(limit):
+        pr = len(pivot_cols)
+        pivot = next((r for r in range(pr, len(work)) if work[r][col]), None)
+        if pivot is None:
+            continue
+        if pivot != pr:
+            work[pr], work[pivot] = work[pivot], work[pr]
+            factor = -factor
+        pv = work[pr][col]
+        factor *= pv
+        src = work[pr] = [e / pv for e in work[pr]]
+        for r, row in enumerate(work):
+            c = row[col]
+            if r != pr and c:
+                work[r] = [e - c * s for e, s in zip(row, src)]
+        pivot_cols.append(col)
+    return work, tuple(pivot_cols), factor
+
+
+def _reference_product(a, b):
+    return tuple(
+        tuple(sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b.entries)) for row in a.entries
+    )
+
+
+def _on_fractions(fn, *args):
+    """fn(*args) with the module's elimination replaced by the reference;
+    an expected refusal is returned as its exception type."""
+    with mock.patch.object(matrix_module, "_gauss_jordan", _reference_gauss_jordan):
+        return _outcome(fn, *args)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, errors.DependentInputError) as exc:
+        return type(exc)
+
+
+def _assert_fractions(vectors):
+    # == alone would let an int through: 0 == Fraction(0)
+    for vec in vectors:
+        for e in vec:
+            QQ.validate(e)
+
+
+_QQ_ENTRY = st.one_of(
+    st.just(0), st.integers(-3, 3), st.fractions(-10**6, 10**6, max_denominator=10**6)
+).map(Fraction)
+
+
+@st.composite
+def _qq_matrices(draw, rows=st.integers(1, 6), cols=st.integers(1, 7), square=False):
+    """Rows that are fresh, zero or a multiple of an earlier row; entries are
+    zero, small integers, or fractions with denominators up to 10^6."""
+    nrows = draw(rows)
+    ncols = nrows if square else draw(cols)
+    out = []
+    for _ in range(nrows):
+        how = draw(st.sampled_from(("fresh", "fresh", "fresh", "fresh", "zero", "multiple")))
+        if how == "zero":
+            out.append((Fraction(0),) * ncols)
+        elif how == "multiple" and out:
+            k = draw(st.integers(-3, 3))
+            out.append(tuple(k * e for e in draw(st.sampled_from(out))))
+        else:
+            out.append(tuple(draw(_QQ_ENTRY) for _ in range(ncols)))
+    return Matrix(QQ, tuple(out))
+
+
+@settings(max_examples=100, deadline=None)
+@example(Matrix.from_rows(QQ, [[0, 1], [1, 0]]))
+@example(Matrix.from_rows(QQ, [[0, 2, 1], [3, 1, 0], [1, 0, 0]]))
+@given(_qq_matrices(square=True))
+def test_qq_det_and_inverse_match_fraction_reference(m):
+    d = det(m)
+    assert d == _on_fractions(det, m)
+    assert d == 0 or rref(m).rank == m.rows
+    QQ.validate(d)
+    inv = _outcome(inverse, m)
+    assert inv == _on_fractions(inverse, m)
+    assert (inv is ValueError) == (d == 0)
+    if d != 0:
+        _assert_fractions(inv.entries)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_qq_matrices(), st.data())
+def test_qq_elimination_matches_fraction_reference(m, data):
+    reduced = rref(m)
+    assert reduced == _on_fractions(rref, m)
+    _assert_fractions(reduced.rref.entries)
+    kernel = kernel_basis(m)
+    assert kernel == _on_fractions(kernel_basis, m)
+    _assert_fractions(kernel)
+    # the rows of m as height-cols vectors: dependent ones are refused
+    completed = _outcome(complete_to_invertible, QQ, m.cols, m.entries)
+    assert completed == _on_fractions(complete_to_invertible, QQ, m.cols, m.entries)
+    if isinstance(completed, Matrix):
+        _assert_fractions(completed.entries)
+    # targets inside the row span (small combinations, zero) and mostly outside it
+    coeffs = [data.draw(st.integers(-2, 2)) for _ in range(m.rows)]
+    inside = tuple(sum((c * e for c, e in zip(coeffs, col)), Fraction(0)) for col in zip(*m.entries))
+    outside = tuple(data.draw(_QQ_ENTRY) for _ in range(m.cols))
+    targets = [inside, outside, (Fraction(0),) * m.cols]
+    solved = span_solve_many(QQ, targets, m.entries)
+    assert solved == _on_fractions(span_solve_many, QQ, targets, m.entries)
+    assert solved[0] is not None and solved[2] is not None
+    _assert_fractions(c for c in solved if c is not None)
+
+
+@st.composite
+def _qq_products(draw):
+    inner = draw(st.integers(1, 7))
+    return draw(_qq_matrices(cols=st.just(inner))), draw(_qq_matrices(rows=st.just(inner)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(_qq_products())
+def test_qq_product_matches_fraction_reference(pair):
+    a, b = pair
+    product = a * b
+    assert product.entries == _reference_product(a, b)
+    _assert_fractions(product.entries)
 
 
 # JSON
