@@ -121,26 +121,29 @@ def witness_from_json(obj) -> Witness:
     raw = obj["entries"]
     if not isinstance(raw, list) or not raw:
         raise errors.ParseError("witness 'entries' must be a non-empty list")
-    entries = []
+    # The zero-tagged entries are built last, from an n that an inv-tagged
+    # n x n entry has bounded by the size of the input.
+    invertible = {}
     tags = []
     for idx, e in enumerate(raw):
         if not isinstance(e, dict) or "tag" not in e:
             raise errors.ParseError(f"witness entry {idx} must be an object with a 'tag'")
         tag = e["tag"]
-        if tag == TAG_ZERO:
-            entries.append(Matrix.zero(field, n, n))
-            tags.append(TAG_ZERO)
-        elif tag == TAG_INVERTIBLE:
+        if tag == TAG_INVERTIBLE:
             if "matrix" not in e:
                 raise errors.ParseError(f"witness entry {idx} is missing 'matrix'")
             g = matrix_from_json(e["matrix"])
             if g.field != field or g.rows != n or g.cols != n:
                 raise errors.ParseError(f"witness entry {idx} has the wrong field or shape")
-            entries.append(g)
-            tags.append(TAG_INVERTIBLE)
-        else:
+            invertible[idx] = g
+        elif tag != TAG_ZERO:
             raise errors.ParseError(f"witness entry {idx} has unknown tag {tag!r}")
-    return Witness(field, n, tuple(entries), tuple(tags))
+        tags.append(tag)
+    if not invertible:
+        raise VerificationError("all-zero")
+    zero = Matrix.zero(field, n, n)
+    entries = tuple(invertible.get(idx, zero) for idx in range(len(tags)))
+    return Witness(field, n, entries, tuple(tags))
 
 
 def instance_to_json(field: Field, matrices) -> dict:

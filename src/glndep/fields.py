@@ -362,6 +362,9 @@ class RationalField(Field):
     def add(self, a, b):
         return a + b
 
+    def sub(self, a, b):
+        return a - b
+
     def mul(self, a, b):
         return a * b
 

@@ -5,14 +5,18 @@ is a plain tuple of them.  RREF, rank, kernel, determinant, inverse and span
 solving all read one Gauss-Jordan pass.  Pivoting is always "first nonzero",
 never by magnitude, so every result is deterministic and reproducible.
 
-Over QQ, elimination runs on Python ints: each row is cleared of
-denominators, and the reduced rows are normalised with one Fraction per entry
-at the end.  Every integer row is a nonzero multiple of the row that
-elimination on Fractions would hold, so the results are the same values.
+Over QQ, elimination and products run on Python ints.  Elimination clears
+each row of denominators and normalises the reduced rows with one Fraction per
+entry at the end; every integer row is a nonzero multiple of the row that
+elimination on Fractions would hold.  A product clears the rows of its left
+factor and the columns of its right factor once, and makes one Fraction per
+entry from an integer dot product.  So the results are the same values; sums
+and scalings stay on Fractions.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -88,21 +92,23 @@ class Matrix(errors._Record):
         z = self.field.zero
         return all(e == z for row in self.entries for e in row)
 
-    def __add__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
+    def _entrywise(self, other, op, sign: str) -> "Matrix":
         self._check_same_field(other)
         a, b = self.entries, other.entries
         rows, cols = len(a), len(a[0])
         if rows != len(b) or cols != len(b[0]):
-            raise errors.ShapeError(f"{rows}x{cols} + {len(b)}x{len(b[0])}")
-        add = self.field.add
-        return _trusted(self.field, tuple(tuple(add(x, y) for x, y in zip(r1, r2)) for r1, r2 in zip(a, b)))
+            raise errors.ShapeError(f"{rows}x{cols} {sign} {len(b)}x{len(b[0])}")
+        return _trusted(self.field, tuple(tuple(map(op, r1, r2)) for r1, r2 in zip(a, b)))
+
+    def __add__(self, other):
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return self._entrywise(other, self.field.add, "+")
 
     def __sub__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self + (-other)
+        return self._entrywise(other, self.field.sub, "-")
 
     def __neg__(self):
         neg = self.field.neg
@@ -117,6 +123,8 @@ class Matrix(errors._Record):
         if inner != len(bent):
             raise errors.ShapeError(f"{len(aent)}x{inner} * {len(bent)}x{cols}")
         f = self.field
+        if f.cardinality is None:
+            return _trusted(f, _rational_product(aent, bent))
         add, mul, z = f.add, f.mul, f.zero
         out = []
         for arow in aent:
@@ -217,6 +225,30 @@ def _gauss_jordan(field: Field, rows, limit: int, normalise: bool = True):
     return work, tuple(pivot_cols), factor
 
 
+def _integer_row(row) -> tuple[list, int]:
+    """(ints, d) with row == ints / d: a rational row cleared of denominators
+    by d, the lcm of its denominators."""
+    dens = [e.denominator for e in row]
+    d = lcm(*dens)
+    return [e.numerator * (d // q) for e, q in zip(row, dens)], d
+
+
+def _rational_product(aent, bent) -> tuple:
+    """The entries of a * b over QQ, on integers.
+
+    Each row of a and each column of b is cleared of denominators once; an
+    entry is then one integer dot product over the two common denominators,
+    made into one Fraction (the canonical Fraction(0) when it is zero).
+    """
+    z, mul = Fraction(0), operator.mul
+    rows = [_integer_row(row) for row in aent]
+    cols = [_integer_row(col) for col in zip(*bent)]
+    return tuple(
+        tuple(Fraction(dot, da * db) if (dot := sum(map(mul, ra, cb))) else z for cb, db in cols)
+        for ra, da in rows
+    )
+
+
 def _rational_gauss_jordan(rows, limit: int, normalise: bool):
     """_gauss_jordan over QQ, fraction-free on primitive integer rows (Bareiss 1968).
 
@@ -235,9 +267,7 @@ def _rational_gauss_jordan(rows, limit: int, normalise: bool):
     work = []
     num = den = 1
     for row in rows:
-        dens = [e.denominator for e in row]
-        d = lcm(*dens)
-        ints = [e.numerator * (d // q) for e, q in zip(row, dens)]
+        ints, d = _integer_row(row)
         g = gcd(*ints)
         if g > 1:
             ints = [e // g for e in ints]

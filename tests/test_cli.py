@@ -64,6 +64,23 @@ def test_verify_rejects_tampered_witness(tmp_path):
     assert main(["verify", "--instance", str(inst), "--witness", str(out)]) == 1
 
 
+def test_verify_refuses_an_all_zero_witness_of_huge_n(tmp_path, capsys):
+    # Zero-tagged entries are built only once an inv-tagged entry bounds n.
+    import time
+
+    inst = tmp_path / "inst.json"
+    out = tmp_path / "w.json"
+    write_instance(inst, GF2, unit_pair(GF2))
+    out.write_text(json.dumps({"field": {"kind": "prime", "p": 2}, "n": 10**12,
+                               "entries": [{"tag": "zero"}, {"tag": "zero"}]}))
+    t0 = time.perf_counter()
+    assert main(["verify", "--instance", str(inst), "--witness", str(out)]) == 1
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert "verification failed: all-zero" in err
+    assert "Traceback" not in err
+
+
 def test_field_flag_must_match_instance(tmp_path):
     inst = tmp_path / "inst.json"
     write_instance(inst, GF2, unit_pair(GF2))

@@ -27,6 +27,7 @@ from glndep.matrix import (
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)
 GF4 = ExtensionField(2, 2)
+GF101 = PrimeField(101)
 QQ = RationalField()
 
 
@@ -167,6 +168,11 @@ def test_basic_ops_and_shapes():
         m * Matrix.from_rows(GF3, [[1, 0, 0]])
     with pytest.raises(errors.FieldMismatchError):
         m * Matrix.identity(GF2, 2)
+    for op in (m.__add__, m.__sub__):
+        with pytest.raises(errors.ShapeError):
+            op(Matrix.from_rows(GF3, [[1, 0]]))
+        with pytest.raises(errors.FieldMismatchError):
+            op(Matrix.identity(GF2, 2))
 
 
 # rref
@@ -493,13 +499,43 @@ def _qq_products(draw):
     return draw(_qq_matrices(cols=st.just(inner))), draw(_qq_matrices(rows=st.just(inner)))
 
 
+def _no_fraction_arithmetic(*args):
+    raise AssertionError("the QQ product took the Fraction path")
+
+
 @settings(max_examples=50, deadline=None)
 @given(_qq_products())
 def test_qq_product_matches_fraction_reference(pair):
     a, b = pair
-    product = a * b
+    # the product must run on integers: QQ's add and mul are never called
+    with mock.patch.object(RationalField, "add", _no_fraction_arithmetic), \
+            mock.patch.object(RationalField, "mul", _no_fraction_arithmetic):
+        product = a * b
     assert product.entries == _reference_product(a, b)
     _assert_fractions(product.entries)
+
+
+@st.composite
+def _same_shape_pairs(draw):
+    field = draw(st.sampled_from((GF2, GF4, GF101, QQ)))
+    if field == QQ:
+        a = draw(_qq_matrices())
+        return a, draw(_qq_matrices(rows=st.just(a.rows), cols=st.just(a.cols)))
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    element = st.integers(0, field.cardinality - 1).map(field.element_from_index)
+    return tuple(
+        Matrix(field, tuple(tuple(draw(element) for _ in range(cols)) for _ in range(rows))) for _ in range(2)
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(_same_shape_pairs())
+def test_sub_is_add_of_negation(pair):
+    a, b = pair
+    diff = a - b
+    assert diff == a + (-b)
+    if a.field == QQ:
+        _assert_fractions(diff.entries)
 
 
 # JSON
