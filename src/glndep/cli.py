@@ -24,7 +24,7 @@ from .certificate import (
 from .fields import field_from_json, field_from_order, parse_field
 from .fullrank import build_fullrank_basis, fullrank_to_json
 from .matrix import Matrix
-from .oracle import brute_force_witness, exhaustive_theorem_check, report_to_json
+from .oracle import DEFAULT_CAP, brute_force_witness, exhaustive_theorem_check, report_to_json
 from .finite_solver import solve_finite
 from .rational_solver import solve_rational, solve_unsafe_finite
 from .subspaces import (
@@ -54,6 +54,12 @@ def _emit(obj, path: str | None) -> None:
             fh.write(text)
 
 
+def _check_size(what: str, entries: int) -> None:
+    """Refuse a flag that would make more than DEFAULT_CAP matrix entries, before any is made."""
+    if entries > DEFAULT_CAP:
+        raise errors.TooLargeError(f"{what} asks for {entries} matrix entries, over the cap of {DEFAULT_CAP}")
+
+
 def _random_instance(field, n: int, m: int, k: int, seed: int):
     import random  # here, not at the top: only --random pays for the import
 
@@ -81,6 +87,7 @@ def _load_instance(args, field):
         return matrices
     if args.random is not None:
         n, m, k = args.random
+        _check_size("--random N M K", n * m * k)
         matrices = _random_instance(field, n, m, k, args.seed)
         if args.save_instance:
             _emit(instance_to_json(field, matrices), args.save_instance)
@@ -113,9 +120,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_subspace_solve(args) -> int:
     obj = _read_json(args.input)
-    if not isinstance(obj, dict) or "field" not in obj or "subspaces" not in obj:
-        raise errors.ParseError("subspace input needs 'field', 'ambient', and 'subspaces'")
-    family = _subspaces_from_rows(field_from_json(obj["field"]), obj.get("ambient"), obj["subspaces"])
+    errors._check_object(obj, "subspace input", ("field", "ambient", "subspaces"))
+    family = _subspaces_from_rows(field_from_json(obj["field"]), obj["ambient"], obj["subspaces"])
+    # Each subspace becomes an n x ambient representative matrix.
+    _check_size("--n", args.n * obj["ambient"] * len(family))
     witness = solve_subspace_dependence(family, args.n)
     if witness is None:
         _emit({"dependent": False}, args.output)
@@ -193,14 +201,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="brute-force witness search over a finite field")
     p.add_argument("--input", required=True)
     p.add_argument("--output")
-    p.add_argument("--cap", type=int, default=10 ** 7)
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("check-theorem", help="exhaustively certify all instances of a shape")
     p.add_argument("--q", required=True, type=int)
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--m", required=True, type=int)
-    p.add_argument("--cap", type=int, default=10 ** 7)
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p.add_argument("--output")
     p.set_defaults(func=_cmd_check_theorem)
 

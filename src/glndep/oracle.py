@@ -110,8 +110,10 @@ def brute_force_witness(matrices, cap: int = DEFAULT_CAP) -> Witness | None:
         raise errors.InfiniteFieldError("the brute-force oracle needs a finite field")
     n, m = matrices[0].rows, matrices[0].cols
     for M in matrices:
-        if M.field != field or M.rows != n or M.cols != m:
-            raise errors.ShapeError("matrices of mixed shapes or fields")
+        if M.field != field:
+            raise errors.FieldMismatchError("matrices over mixed fields")
+        if M.rows != n or M.cols != m:
+            raise errors.ShapeError("matrices of mixed shapes")
     pool = _pool(field, n, len(matrices), cap)
     return _first_witness(field, pool, [_products(pool, M) for M in matrices])
 

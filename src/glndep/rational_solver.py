@@ -5,7 +5,7 @@ yields a witness with the identity on it and zeros elsewhere; extra matrices
 beyond the first m+1 receive the zero multiplier):
 
 * m == 1 and n > 1: matrices are nonzero columns, and some invertible g maps the
-  first onto the second, giving the witness (g, -I).
+  first onto the second, giving the multipliers (g, -I).
 * otherwise, take the canonical kernel vector of each row slice (m+1 rows of
   width m) and assemble diagonal multipliers g_i with sum(g_i M_i) == 0.  They
   are the answer when n == 1 (each 1 x 1 multiplier is zero or invertible) or
@@ -13,7 +13,7 @@ beyond the first m+1 receive the zero multiplier):
   every other matrix's rows, drop it (g_j = 0), rewrite the other matrices in
   coordinates of that span (strictly fewer columns) and recurse; per-row
   coordinate change commutes with left multiplication, so the recursive
-  witness lifts verbatim.  Otherwise each singular g_j is repaired in turn:
+  multipliers lift verbatim.  Otherwise each singular g_j is repaired in turn:
   g_j gains x*I and every other g_i pays x times the matrix of coefficients
   expressing the rows of M_j over its own rows, which preserves the sum.  Each
   determinant that must stay nonzero is a nonzero polynomial of degree at most
@@ -21,6 +21,11 @@ beyond the first m+1 receive the zero multiplier):
   n*(number of conditions) + 1 steps.  The row expansions come from the
   outside-span scan, and the invertible set of each round from the fresh
   determinants of the round before.
+
+The steps pass plain lists of multiplier matrices.  Only the two public entry
+points check the instance and wrap the result in a Witness; every matrix the
+recursion builds is assembled from already validated entries (see
+matrix._trusted).
 
 All choices (kernel vectors, span expansions, scan order, smallest bad index
 first) are canonical, so witnesses are reproducible byte for byte.
@@ -38,28 +43,19 @@ from __future__ import annotations
 from . import errors
 from .certificate import Witness, _check_instance, witness_from_matrices
 from .fields import Field, RationalField
-from .matrix import Matrix, det, find_gl_transform, kernel_basis, rref, span_solve_many
+from .matrix import Matrix, _trusted, det, find_gl_transform, kernel_basis, rref, span_solve_many
 
 
-class CorrectionRecord(errors._Record):
-    """Snapshot of one repair of a singular multiplier, for instrumentation.
-
-    The solvers' optional observer argument is a callable that receives one
-    record per correction made.
-    """
-
-    __slots__ = ("bad_index", "x", "n_conditions", "good_before", "good_after", "gs_after")
-
-
-def solve_rational(matrices, observer=None) -> Witness:
+def solve_rational(matrices) -> Witness:
     """Witness for k >= m+1 rational n x m matrices."""
     matrices = list(matrices)
     if matrices and not isinstance(matrices[0].field, RationalField):
         raise ValueError("solve_rational expects rational matrices; see solve_finite / solve_unsafe_finite")
-    return _solve_entry(matrices, observer)
+    field, _, _ = _check_instance(matrices)
+    return witness_from_matrices(field, _solve_entry(matrices))
 
 
-def solve_unsafe_finite(matrices, observer=None) -> Witness:
+def solve_unsafe_finite(matrices) -> Witness:
     """Run the recursive algorithm over a finite field with |K| > n*(m+2).
 
     The guard keeps every correction scalar scan from exhausting.  A correction
@@ -77,23 +73,23 @@ def solve_unsafe_finite(matrices, observer=None) -> Witness:
             f"field of size {field.cardinality} is too small for the recursive mode "
             f"(need > {n * (m + 2)}); use solve_finite"
         )
-    return _solve_entry(matrices, observer)
+    return witness_from_matrices(field, _solve_entry(matrices))
 
 
-def _solve_entry(matrices: list[Matrix], observer) -> Witness:
-    field, n, m = _check_instance(matrices)
+def _solve_entry(matrices: list[Matrix]) -> list[Matrix]:
+    """Multipliers for k >= m+1 matrices of one shape n x m over one field."""
+    field = matrices[0].field
+    n, m = matrices[0].rows, matrices[0].cols
     k = len(matrices)
     zero_g = Matrix.zero(field, n, n)
     for j, M in enumerate(matrices):
         if M.is_zero():
             gs = [zero_g] * k
             gs[j] = Matrix.identity(field, n)
-            return witness_from_matrices(field, gs)
-    gs = _solve_core(matrices[: m + 1], observer)
-    gs += [zero_g] * (k - m - 1)
-    witness = witness_from_matrices(field, gs)
-    errors.check(_weighted_sum(witness.entries, matrices).is_zero(), "the witness sum is nonzero")
-    return witness
+            return gs
+    gs = _solve_core(matrices[: m + 1]) + [zero_g] * (k - m - 1)
+    errors.check(_weighted_sum(gs, matrices).is_zero(), "the witness sum is nonzero")
+    return gs
 
 
 def _weighted_sum(gs, matrices) -> Matrix:
@@ -104,17 +100,17 @@ def _weighted_sum(gs, matrices) -> Matrix:
     return total
 
 
-def _solve_core(matrices: list[Matrix], observer) -> list[Matrix]:
+def _solve_core(matrices: list[Matrix]) -> list[Matrix]:
     """Multipliers for exactly m+1 nonzero matrices."""
     field = matrices[0].field
     n, m = matrices[0].rows, matrices[0].cols
     if m == 1 and n > 1:
-        return list(solve_column_pair(matrices[0], matrices[1]).entries)
+        return solve_column_pair(matrices[0], matrices[1])
 
     zero = field.zero
     deps = row_dependences(matrices)
     gs = [
-        Matrix.from_rows(field, [[deps[r][i] if r == c else zero for c in range(n)] for r in range(n)])
+        _trusted(field, tuple(tuple(deps[r][i] if r == c else zero for c in range(n)) for r in range(n)))
         for i in range(m + 1)
     ]
     errors.check(_weighted_sum(gs, matrices).is_zero(), "the row-dependence multipliers do not sum to zero")
@@ -124,36 +120,21 @@ def _solve_core(matrices: list[Matrix], observer) -> list[Matrix]:
 
     hit, expansions = find_row_outside_span(matrices)
     if hit is not None:
-        return project_and_recurse(matrices, hit[0], observer)
+        return project_and_recurse(matrices, hit)
 
     # correct_bad_index checks that the invertible set strictly grows, which
     # bounds the loop.
     while len(good) <= m:
         j = min(i for i in range(m + 1) if i not in good)
-        gs, record = correct_bad_index(gs, good, j, expansions[j])
+        gs, good = correct_bad_index(gs, good, j, expansions[j])
         errors.check(_weighted_sum(gs, matrices).is_zero(), f"correcting index {j} broke the witness sum")
-        good = record.good_after
-        if observer is not None:
-            observer(record)
     return gs
 
 
-def solve_column_pair(w1: Matrix, w2: Matrix) -> Witness:
-    """Witness for two column vectors: if both are nonzero, some invertible g
-    maps w1 onto w2 and (g, -I) works; a zero column gets the identity."""
-    if w1.cols != 1 or w2.cols != 1 or w1.rows != w2.rows:
-        raise errors.ShapeError("solve_column_pair expects two columns of equal height")
-    if w1.field != w2.field:
-        raise errors.FieldMismatchError("columns over mixed fields")
-    field = w1.field
-    n = w1.rows
-    ident = Matrix.identity(field, n)
-    zero = Matrix.zero(field, n, n)
-    if w1.is_zero():
-        return witness_from_matrices(field, [ident, zero])
-    if w2.is_zero():
-        return witness_from_matrices(field, [zero, ident])
-    return witness_from_matrices(field, [find_gl_transform(w1, w2), -ident])
+def solve_column_pair(w1: Matrix, w2: Matrix) -> list[Matrix]:
+    """Multipliers [g, -I] for two nonzero columns of one height and field,
+    where g is an invertible matrix mapping w1 onto w2 (see find_gl_transform)."""
+    return [find_gl_transform(w1, w2), -Matrix.identity(w1.field, w1.rows)]
 
 
 def row_dependences(matrices) -> list[tuple]:
@@ -168,7 +149,7 @@ def row_dependences(matrices) -> list[tuple]:
     n, m = matrices[0].rows, matrices[0].cols
     out = []
     for r in range(n):
-        stacked = Matrix.from_rows(field, [[M.entries[r][c] for M in matrices] for c in range(m)])
+        stacked = _trusted(field, tuple(tuple(M.entries[r][c] for M in matrices) for c in range(m)))
         kernel = kernel_basis(stacked)
         errors.check(bool(kernel), f"row slice {r}: {m + 1} vectors of length {m} are independent")
         out.append(kernel[0])
@@ -186,21 +167,21 @@ def _expand_rows(matrices, j: int) -> list:
     return span_solve_many(matrices[0].field, matrices[j].entries, generators)
 
 
-def find_row_outside_span(matrices) -> tuple[tuple[int, int] | None, list]:
-    """Smallest (j, ell) with row ell of matrix j outside the span of every row
-    of the other matrices, or None when no such pair exists, together with the
-    row expansions (see _expand_rows) of every matrix scanned: all of them
-    when the hit is None, the ones up to matrix j otherwise."""
+def find_row_outside_span(matrices) -> tuple[int | None, list]:
+    """Smallest index j of a matrix with a row outside the span of every row
+    of the other matrices, or None when there is none, together with the row
+    expansions (see _expand_rows) of every matrix scanned: all of them when
+    the hit is None, the ones up to matrix j otherwise."""
     matrices = list(matrices)
     expansions = []
     for j in range(len(matrices)):
         expansions.append(_expand_rows(matrices, j))
         if None in expansions[j]:
-            return (j, expansions[j].index(None)), expansions
+            return j, expansions
     return None, expansions
 
 
-def project_and_recurse(matrices, j: int, observer=None) -> list[Matrix]:
+def project_and_recurse(matrices, j: int) -> list[Matrix]:
     """Drop matrix j, rewrite the rest in coordinates of their row span, recurse.
 
     Requires that some row of matrix j lies outside that span, so the span has
@@ -214,21 +195,18 @@ def project_and_recurse(matrices, j: int, observer=None) -> list[Matrix]:
     field = matrices[0].field
     n, m = matrices[0].rows, matrices[0].cols
     others = [M for i, M in enumerate(matrices) if i != j]
-    reduced = rref(Matrix(field, tuple(row for M in others for row in M.entries)))
+    reduced = rref(_trusted(field, tuple(row for M in others for row in M.entries)))
     r = reduced.rank
     errors.check(r <= m - 1, f"span of the other rows has dimension {r}, expected <= {m - 1}")
     pivots = reduced.pivot_cols
-    projected = [Matrix.from_rows(field, [[row[c] for c in pivots] for row in M.entries]) for M in others]
-    recursive = _solve_entry(projected, observer)
-    lifted = []
-    it = iter(recursive.entries)
-    for i in range(m + 1):
-        lifted.append(Matrix.zero(field, n, n) if i == j else next(it))
+    projected = [_trusted(field, tuple(tuple(row[c] for c in pivots) for row in M.entries)) for M in others]
+    lifted = _solve_entry(projected)
+    lifted.insert(j, Matrix.zero(field, n, n))
     errors.check(_weighted_sum(lifted, matrices).is_zero(), "the lifted multipliers do not sum to zero")
     return lifted
 
 
-def correct_bad_index(gs, good: frozenset, j: int, alpha_rows) -> tuple[list[Matrix], CorrectionRecord]:
+def correct_bad_index(gs, good: frozenset, j: int, alpha_rows) -> tuple[list[Matrix], frozenset]:
     """Repair the singular multiplier g_j while preserving the witness equation.
 
     good is the set of indices whose g_i is invertible, and alpha_rows the row
@@ -236,7 +214,8 @@ def correct_bad_index(gs, good: frozenset, j: int, alpha_rows) -> tuple[list[Mat
     row of M_j must have one.  g_j += x*I and g_i -= x * A_i (A_i collecting
     the coefficients on M_i's rows) keep the weighted sum at zero for any x;
     x is chosen so g_j becomes invertible and no invertible g_i degenerates,
-    which fresh determinants of the new multipliers confirm.
+    which fresh determinants of the new multipliers confirm.  Returns the new
+    multipliers and the set of indices at which they are invertible.
     """
     field = gs[0].field
     n = gs[0].rows
@@ -251,8 +230,8 @@ def correct_bad_index(gs, good: frozenset, j: int, alpha_rows) -> tuple[list[Mat
         )
     corrections = {}
     for pos, i in enumerate(others):
-        corrections[i] = Matrix.from_rows(
-            field, [[alpha_rows[ell][pos * n + t] for t in range(n)] for ell in range(n)]
+        corrections[i] = _trusted(
+            field, tuple(tuple(alpha_rows[ell][pos * n + t] for t in range(n)) for ell in range(n))
         )
 
     ident = Matrix.identity(field, n)
@@ -268,13 +247,12 @@ def correct_bad_index(gs, good: frozenset, j: int, alpha_rows) -> tuple[list[Mat
         new_gs[i] = gs[i] - corrections[i].scale(x)
     good_after = frozenset(i for i, g in enumerate(new_gs) if det(g) != zero)
     errors.check(good | {j} <= good_after, f"correcting index {j} left it singular or lost an invertible multiplier")
-    record = CorrectionRecord(j, x, len(conditions), good, good_after, tuple(new_gs))
-    return new_gs, record
+    return new_gs, good_after
 
 
 def choose_correction_scalar(field: Field, conditions):
     """Smallest usable nonzero scalar x with det(base + x * direction) != 0 for
-    every condition.
+    every condition; conditions is not empty.
 
     Over the rationals the scan runs x = 1, 2, ...; each condition is a nonzero
     polynomial of degree at most n in x, so a valid x exists among the first
@@ -282,8 +260,6 @@ def choose_correction_scalar(field: Field, conditions):
     nonzero elements in canonical order and raises ExhaustedBoundError if none
     works.
     """
-    if not conditions:
-        return field.one
     n = conditions[0][0].rows
     zero = field.zero
     if field.is_finite:

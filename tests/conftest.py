@@ -1,8 +1,13 @@
-"""Shared randomized-construction helpers for the test suite."""
+"""Shared randomized-construction helpers and solver instrumentation for the test suite."""
 
 import random
+from collections import namedtuple
+from contextlib import contextmanager
 from fractions import Fraction
 
+import pytest
+
+from glndep import rational_solver
 from glndep.fields import ExtensionField
 from glndep.matrix import Matrix, det
 
@@ -60,3 +65,64 @@ def golden_instances(field, seed, count):
         n, m = rng.randint(1, 4), rng.randint(1, 4)
         k = m + 2 if t % 5 == 4 else m + 1
         yield [golden_matrix(rng, field, n, m, KINDS[t % 3]) for _ in range(k)]
+
+
+class Correction(namedtuple("Correction", "matrices gs good j new_gs good_after")):
+    """One call of rational_solver.correct_bad_index: the m+1 matrices of its
+    recursion level, the multipliers and invertible set before and after, and
+    the repaired index j."""
+
+    @property
+    def x(self):
+        """The correction scalar: new_gs[j] - gs[j] is x times the identity."""
+        return (self.new_gs[self.j] - self.gs[self.j]).entries[0][0]
+
+
+@contextmanager
+def recorded_corrections():
+    """Yield a list that gains one Correction per repair the recursive solver makes.
+
+    Wraps rational_solver._solve_core, to know the matrices of the recursion
+    level in progress, and rational_solver.correct_bad_index, to record each
+    call; both are restored on exit.
+    """
+    records = []
+    levels = []
+    solve_core, correct_bad_index = rational_solver._solve_core, rational_solver.correct_bad_index
+
+    def traced_solve_core(matrices):
+        levels.append(matrices)
+        try:
+            return solve_core(matrices)
+        finally:
+            levels.pop()
+
+    def traced_correct_bad_index(gs, good, j, alpha_rows):
+        new_gs, good_after = correct_bad_index(gs, good, j, alpha_rows)
+        records.append(Correction(levels[-1], gs, good, j, new_gs, good_after))
+        return new_gs, good_after
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rational_solver, "_solve_core", traced_solve_core)
+        mp.setattr(rational_solver, "correct_bad_index", traced_correct_bad_index)
+        yield records
+
+
+def assert_correction_invariants(rec: Correction):
+    """A correction keeps its level's weighted sum at zero, adds x*I to g_j,
+    strictly grows the invertible set by j, and over QQ takes x within the
+    scan bound n*(number of conditions) + 1, one condition for j and one per
+    invertible g_i."""
+    field = rec.matrices[0].field
+    n = rec.new_gs[0].rows
+    total = Matrix.zero(field, n, rec.matrices[0].cols)
+    for g, m in zip(rec.new_gs, rec.matrices):
+        total = total + g * m
+    assert total.is_zero(), "weighted sum drifted during a correction"
+    x = rec.x
+    assert x != field.zero
+    assert rec.new_gs[rec.j] - rec.gs[rec.j] == Matrix.identity(field, n).scale(x)
+    assert rec.good < rec.good_after, "good-index set did not strictly grow"
+    assert rec.j in rec.good_after
+    if not field.is_finite:
+        assert x <= n * (len(rec.good) + 1) + 1, "correction scalar exceeded its scan bound"

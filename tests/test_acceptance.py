@@ -14,7 +14,7 @@ from itertools import product
 
 import pytest
 
-from conftest import random_element, random_invertible, random_matrix
+from conftest import assert_correction_invariants, random_element, random_invertible, random_matrix, recorded_corrections
 from glndep.certificate import verify_witness
 from glndep.fields import ExtensionField, PrimeField, RationalField, field_from_order
 from glndep.finite_solver import solve_finite
@@ -51,8 +51,8 @@ def rational_suite():
             Matrix.from_rows(QQ, [[Fraction(rng.randint(-3, 3)) for _ in range(m)] for _ in range(n)])
             for _ in range(m + 1)
         ]
-        records = []
-        witness = solve_rational(mats, observer=records.append)
+        with recorded_corrections() as records:
+            witness = solve_rational(mats)
         verify_witness(mats, witness)
         runs.append((mats, witness, records))
     elapsed = time.perf_counter() - t0
@@ -93,17 +93,10 @@ def test_criterion_3_rational_round_trip(rational_suite):
 def test_criterion_4_correction_loop_invariants(rational_suite):
     runs, _ = rational_suite
     corrections = 0
-    for mats, _witness, records in runs:
+    for _mats, _witness, records in runs:
         for rec in records:
             corrections += 1
-            total = Matrix.zero(QQ, mats[0].rows, mats[0].cols)
-            for g, m in zip(rec.gs_after, mats):
-                total = total + g * m
-            assert total.is_zero(), "weighted sum drifted during a correction"
-            assert rec.good_before < rec.good_after, "good-index set did not strictly grow"
-            assert rec.bad_index in rec.good_after
-            n = rec.gs_after[0].rows
-            assert rec.x <= n * rec.n_conditions + 1, "correction scalar exceeded its scan bound"
+            assert_correction_invariants(rec)
     print(f"CRITERION 4 PASS: zero violations across {corrections} corrections")
 
 

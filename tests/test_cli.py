@@ -1,7 +1,7 @@
 """Command-line behavior: pipelines, exit codes, deterministic output files."""
 
 import json
-
+import time
 
 from glndep.certificate import instance_to_json, witness_from_json
 from glndep.cli import main
@@ -119,6 +119,32 @@ def test_random_self_test(tmp_path):
     )
     assert code == 0
     assert main(["verify", "--instance", str(saved), "--witness", str(out)]) == 0
+
+
+def test_random_instance_over_the_cap_is_refused(capsys):
+    # 10^18 entries: refused from the flag alone, before any entry is drawn.
+    start = time.perf_counter()
+    assert main(["solve", "--field", "rational", "--random", "1000000", "1000000", "1000000"]) == 2
+    assert main(["solve", "--field", "prime:2", "--random", "10000", "1000", "2"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "over the cap of 10000000" in capsys.readouterr().err
+
+
+def test_subspace_padding_over_the_cap_is_refused(tmp_path, capsys):
+    # --n pads every representative matrix to n rows of ambient entries.
+    inp = tmp_path / "family.json"
+    family = {
+        "field": {"kind": "prime", "p": 2},
+        "ambient": 2,
+        "subspaces": [[["1", "0"]], [["0", "1"]], [["1", "1"]]],
+    }
+    inp.write_text(json.dumps(family))
+    start = time.perf_counter()
+    assert main(["subspace-solve", "--input", str(inp), "--n", "1000000000"]) == 2
+    inp.write_text(json.dumps(dict(family, ambient=10 ** 12, subspaces=[[], [], []])))
+    assert main(["subspace-solve", "--input", str(inp), "--n", "1"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "over the cap of 10000000" in capsys.readouterr().err
 
 
 def test_unsafe_finite_flag(tmp_path):
@@ -252,6 +278,9 @@ def test_subspace_row_of_wrong_length_is_input_error(tmp_path):
     inp.write_text(json.dumps(dict(family, ambient="2", subspaces=[[], []])))
     assert main(["subspace-solve", "--input", str(inp), "--n", "1"]) == 3
     inp.write_text(json.dumps(dict(family, subspaces=5)))
+    assert main(["subspace-solve", "--input", str(inp), "--n", "1"]) == 3
+    del family["ambient"]
+    inp.write_text(json.dumps(family))
     assert main(["subspace-solve", "--input", str(inp), "--n", "1"]) == 3
 
 

@@ -117,6 +117,14 @@ def test_oracle_agrees_with_reference_gf3_rows():
                 assert fast == slow
 
 
+def test_brute_force_mixed_inputs_raise_the_solvers_errors():
+    # A field mismatch is a FieldMismatchError, as in the solvers; a shape mismatch stays a ShapeError.
+    with pytest.raises(errors.FieldMismatchError):
+        brute_force_witness([Matrix.identity(GF3, 1), Matrix.identity(PrimeField(5), 1)])
+    with pytest.raises(errors.ShapeError):
+        brute_force_witness([Matrix.identity(GF3, 1), Matrix.identity(GF3, 2)])
+
+
 def test_brute_force_cap():
     mats = [Matrix.identity(GF3, 2)] * 3
     with pytest.raises(errors.TooLargeError):

@@ -3,7 +3,8 @@
 A renamed or deleted function would otherwise only show up as a "not traced"
 line in a traced benchmark run.  The tracer's tables are read with ``ast``,
 so the tracer itself is not imported.  The names in them also count as callers
-in the check that no definition in src is left that nothing calls.
+in the check that no definition in src is left that nothing calls, next to
+which a second check finds defaulted parameters that no caller sets.
 """
 
 import ast
@@ -15,7 +16,8 @@ import glndep
 from glndep.matrix import Matrix
 
 ROOT = Path(__file__).resolve().parents[1]
-TRACER = ROOT / "perfbench" / "tracer.py"
+PERFBENCH = ROOT / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 SRC = ROOT / "src" / "glndep"
 
 
@@ -71,3 +73,61 @@ def test_every_definition_has_a_caller():
         and not (node.name.startswith("__") and node.name.endswith("__"))
     )
     assert unused == []
+
+
+def _functions(tree):
+    """(label, names its callers use, node, positional parameters a call passes)
+    for every function and method; a method's callers pass self or cls
+    implicitly, and a class's __init__ is also called by the class name."""
+    stack = [(node, None) for node in tree.body]
+    while stack:
+        node, cls = stack.pop()
+        if isinstance(node, ast.ClassDef):
+            stack.extend((child, node.name) for child in node.body)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            params = [a.arg for a in node.args.posonlyargs + node.args.args]
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+            if cls is not None and not static:
+                params = params[1:]
+            names = {node.name, cls} if node.name == "__init__" else {node.name}
+            yield node.name if cls is None else f"{cls}.{node.name}", names, node, params
+
+
+def _call_arguments(trees):
+    """For each called name, the keywords its calls pass and the most positional
+    arguments one call passes; *args passes every position, **kwargs every keyword."""
+    keywords, positions = {}, Counter()
+    for tree in trees:
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            passed = keywords.setdefault(name, set())
+            passed.update(k.arg for k in call.keywords)  # None stands for **kwargs
+            starred = any(isinstance(a, ast.Starred) for a in call.args)
+            positions[name] = max(positions[name], float("inf") if starred else len(call.args))
+    return keywords, positions
+
+
+def test_every_defaulted_parameter_has_a_caller_that_sets_it():
+    """No knob that only tests turn: each defaulted parameter of a function in
+    src is set, by keyword or by position, by some call in src or perfbench."""
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    callers = trees + [ast.parse(path.read_text()) for path in sorted(PERFBENCH.glob("*.py"))]
+    keywords, positions = _call_arguments(callers)
+    unset = []
+    for tree in trees:
+        for label, names, node, params in _functions(tree):
+            args = node.args
+            first_default = len(params) - len(args.defaults)
+            defaulted = [(p, i) for i, p in enumerate(params) if i >= first_default]
+            defaulted += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            for param, index in defaulted:
+                if not any(
+                    param in keywords.get(name, ()) or None in keywords.get(name, ())
+                    or (index is not None and positions[name] > index)
+                    for name in names
+                ):
+                    unset.append(f"{label}({param})")
+    assert unset == []

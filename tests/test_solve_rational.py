@@ -7,9 +7,16 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import KINDS, golden_matrix, golden_instances, random_matrix
+from conftest import (
+    KINDS,
+    assert_correction_invariants,
+    golden_instances,
+    golden_matrix,
+    random_matrix,
+    recorded_corrections,
+)
 from glndep import errors
-from glndep.certificate import TAG_INVERTIBLE, TAG_ZERO, verify_witness, witness_to_json
+from glndep.certificate import TAG_INVERTIBLE, TAG_ZERO, verify_witness, witness_from_matrices, witness_to_json
 from glndep.fields import ExtensionField, PrimeField, RationalField
 from glndep.matrix import Matrix, det, kernel_basis
 from glndep.rational_solver import (
@@ -109,25 +116,19 @@ def test_zero_matrix_beyond_first_m_plus_one():
 # column-pair base case
 
 def test_column_pair_swap():
-    w = solve_column_pair(qmat([[1], [0]]), qmat([[0], [1]]))
-    assert w.entries[0] == qmat([[0, 1], [1, 0]])
-    assert w.entries[1] == -Matrix.identity(QQ, 2)
-
-
-def test_column_pair_zero_first():
-    w = solve_column_pair(Matrix.zero(QQ, 2, 1), qmat([[3], [5]]))
-    assert w.entries[0] == Matrix.identity(QQ, 2)
-    assert w.tags == (TAG_INVERTIBLE, TAG_ZERO)
+    gs = solve_column_pair(qmat([[1], [0]]), qmat([[0], [1]]))
+    assert gs[0] == qmat([[0, 1], [1, 0]])
+    assert gs[1] == -Matrix.identity(QQ, 2)
 
 
 def test_column_pair_scaling():
     w1 = qmat([[2], [0]])
     w2 = qmat([[1], [0]])
-    witness = solve_column_pair(w1, w2)
-    verify_witness([w1, w2], witness)
-    assert witness.entries[0] * w1 == w2
-    assert witness.entries[1] == -Matrix.identity(QQ, 2)
-    assert det(witness.entries[0]) != 0
+    gs = solve_column_pair(w1, w2)
+    verify_witness([w1, w2], witness_from_matrices(QQ, gs))
+    assert gs[0] * w1 == w2
+    assert gs[1] == -Matrix.identity(QQ, 2)
+    assert det(gs[0]) != 0
 
 
 # row dependences
@@ -171,7 +172,7 @@ def test_detection_none_for_n1_spanning_rows():
 def test_detection_finds_smallest_pair():
     mats = [qmat([[1, 0], [0, 0]]), qmat([[1, 0], [0, 0]]), qmat([[0, 1], [0, 0]])]
     hit, expansions = find_row_outside_span(mats)
-    assert hit == (2, 0)
+    assert hit == 2
     # the scan stops at the hit, whose expansion marks the escaping row
     assert len(expansions) == 3
     assert expansions[2][0] is None
@@ -198,7 +199,8 @@ def test_project_and_recurse_example():
 def test_projection_strictly_narrows():
     # three matrices whose kept rows span a line: the recursion sees width 1
     mats = [qmat([[2, 4], [0, 0]]), qmat([[1, 2], [3, 6]]), qmat([[0, 1], [1, 0]])]
-    assert find_row_outside_span(mats)[0] == (2, 0)
+    hit, expansions = find_row_outside_span(mats)
+    assert hit == 2 and expansions[2].index(None) == 0
     gs = project_and_recurse(mats, 2)
     total = Matrix.zero(QQ, 2, 2)
     for g, m in zip(gs, mats):
@@ -215,7 +217,8 @@ def test_two_level_projection():
         qmat([[0, 1, 0], [0, 1, 0]]),
         qmat([[0, 0, 1], [0, 0, 1]]),
     ]
-    assert find_row_outside_span(mats)[0] == (2, 0)
+    hit, expansions = find_row_outside_span(mats)
+    assert hit == 2 and expansions[2].index(None) == 0
     witness = solve_rational(mats)
     verify_witness(mats, witness)
     assert list(witness.entries) == [
@@ -231,8 +234,8 @@ def test_two_level_projection():
 def test_correction_on_identical_identities():
     ident = Matrix.identity(QQ, 2)
     mats = [ident, ident, ident]
-    records = []
-    witness = solve_rational(mats, observer=records.append)
+    with recorded_corrections() as records:
+        witness = solve_rational(mats)
     verify_witness(mats, witness)
     assert [g for g in witness.entries] == [
         qmat([[-2, 0], [0, -2]]),
@@ -241,9 +244,10 @@ def test_correction_on_identical_identities():
     ]
     assert len(records) == 1
     rec = records[0]
-    assert rec.bad_index == 2
+    assert rec.matrices == mats
+    assert rec.j == 2
     assert rec.x == Fraction(1)
-    assert rec.good_before == frozenset({0, 1})
+    assert rec.good == frozenset({0, 1})
     assert rec.good_after == frozenset({0, 1, 2})
 
 
@@ -252,15 +256,15 @@ def test_correct_bad_index_preserves_sum_and_goodness():
     mats = [ident, ident, ident]
     gs = [qmat([[-1, 0], [0, -1]]), ident, Matrix.zero(QQ, 2, 2)]
     expansions = find_row_outside_span(mats)[1]
-    new_gs, record = correct_bad_index(gs, frozenset({0, 1}), 2, expansions[2])
+    new_gs, good_after = correct_bad_index(gs, frozenset({0, 1}), 2, expansions[2])
     total = Matrix.zero(QQ, 2, 2)
     for g, m in zip(new_gs, mats):
         total = total + g * m
     assert total.is_zero()
     assert det(new_gs[2]) != 0
-    assert record.good_before == frozenset({0, 1})
-    assert record.good_after == frozenset({0, 1, 2})
-    assert record.n_conditions == 3
+    assert good_after == frozenset({0, 1, 2})
+    # x = 1: g_2 gains I, and g_0 = -I pays the coefficient of M_2's rows on M_0's
+    assert new_gs == [qmat([[-2, 0], [0, -2]]), ident, ident]
 
 
 def test_correct_bad_index_rejects_good_index():
@@ -292,10 +296,6 @@ def test_choose_scalar_skips_forbidden_values():
     base = qmat([[-1, 0], [0, -2]])
     cond = [(base, Matrix.identity(QQ, 2))]
     assert choose_correction_scalar(QQ, cond) == Fraction(3)
-
-
-def test_choose_scalar_no_conditions():
-    assert choose_correction_scalar(QQ, []) == Fraction(1)
 
 
 def test_choose_scalar_respects_scan_bound():
@@ -346,12 +346,12 @@ def test_unsafe_finite_never_exhausts_at_the_guard(n, m):
     # |K| - 1 candidates, so the scan succeeds even on the smallest fields.
     p, (q, k) = SMALLEST_ADMISSIBLE[n, m]
     rng = random.Random(83 * n + m)
-    corrections = []
-    for field in (PrimeField(p), ExtensionField(q, k)):
-        assert field.cardinality > n * (m + 2)
-        for t in range(30):
-            mats = [golden_matrix(rng, field, n, m, KINDS[t % 3]) for _ in range(m + 1)]
-            verify_witness(mats, solve_unsafe_finite(mats, observer=corrections.append))
+    with recorded_corrections() as corrections:
+        for field in (PrimeField(p), ExtensionField(q, k)):
+            assert field.cardinality > n * (m + 2)
+            for t in range(30):
+                mats = [golden_matrix(rng, field, n, m, KINDS[t % 3]) for _ in range(m + 1)]
+                verify_witness(mats, solve_unsafe_finite(mats))
     if n > 1 and m > 1:  # otherwise the column-pair and n == 1 cases need no correction
         assert corrections, "no instance reached the correction scan"
 
@@ -392,32 +392,45 @@ def test_unsafe_finite_rejects_rational_matrices():
 
 def test_random_round_trip_with_instrumentation():
     rng = random.Random(83)
-    records = []
-    for _ in range(60):
-        n = rng.choice([1, 2, 3])
-        m = rng.choice([1, 2, 3])
-        mats = [random_matrix(rng, QQ, n, m) for _ in range(m + 1)]
-        witness = solve_rational(mats, observer=records.append)
-        verify_witness(mats, witness)
+    with recorded_corrections() as records:
+        for _ in range(60):
+            n = rng.choice([1, 2, 3])
+            m = rng.choice([1, 2, 3])
+            mats = [random_matrix(rng, QQ, n, m) for _ in range(m + 1)]
+            witness = solve_rational(mats)
+            verify_witness(mats, witness)
     for rec in records:
-        assert rec.good_before < rec.good_after
-        assert rec.bad_index in rec.good_after
-        n = rec.gs_after[0].rows
-        assert rec.x <= n * rec.n_conditions + 1
+        assert_correction_invariants(rec)
 
 
 # pinned witness bytes of the recursive algorithm
 
+GOLDEN_RUNS = [
+    (solve_rational, QQ, 1, 60),
+    (solve_unsafe_finite, PrimeField(101), 2, 30),
+    (solve_unsafe_finite, PrimeField(1009), 3, 30),
+]
+
+
+def test_golden_corrections_keep_their_level_invariants():
+    # Some corrections of the pinned instances run inside a projection, on the
+    # narrower matrices of their own recursion level; each is checked there.
+    total = nested = 0
+    for solve, field, seed, count in GOLDEN_RUNS:
+        for mats in golden_instances(field, seed, count):
+            with recorded_corrections() as records:
+                verify_witness(mats, solve(mats))
+            for rec in records:
+                assert_correction_invariants(rec)
+                nested += rec.matrices[0].cols < mats[0].cols
+            total += len(records)
+    assert (total, nested) == (122, 25)
+
 def test_recursive_witness_bytes_are_pinned():
     # sha256 over the witness JSON of seeded instances, one line per witness;
     # a refactor of the recursive algorithm must leave every byte unchanged.
-    runs = [
-        (solve_rational, QQ, 1, 60),
-        (solve_unsafe_finite, PrimeField(101), 2, 30),
-        (solve_unsafe_finite, PrimeField(1009), 3, 30),
-    ]
     h = hashlib.sha256()
-    for solve, field, seed, count in runs:
+    for solve, field, seed, count in GOLDEN_RUNS:
         for mats in golden_instances(field, seed, count):
             witness = solve(mats)
             verify_witness(mats, witness)
