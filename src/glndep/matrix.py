@@ -10,8 +10,11 @@ each row of denominators and normalises the reduced rows with one Fraction per
 entry at the end; every integer row is a nonzero multiple of the row that
 elimination on Fractions would hold.  A product clears the rows of its left
 factor and the columns of its right factor once, and makes one Fraction per
-entry from an integer dot product.  So the results are the same values; sums
-and scalings stay on Fractions.
+entry from an integer dot product.  So the results are the same values.  The
+correction step of rational_solver also runs on integer rows: its scalar scan
+eliminates cleared row pairs (see _integer_row_pairs), and its multiplier
+updates a + c*b make one Fraction per entry (see _add_scaled).  Other sums
+stay on Fractions.
 """
 
 from __future__ import annotations
@@ -233,6 +236,36 @@ def _integer_row(row) -> tuple[list, int]:
     return [e.numerator * (d // q) for e, q in zip(row, dens)], d
 
 
+def _integer_row_pairs(a: Matrix, b: Matrix):
+    """(s, t, d) per row pair of two rational matrices of one shape: integer
+    lists with the row of a == s / d and the row of b == t / d, d being the
+    lcm of the pair's denominators."""
+    w = len(a.entries[0])
+    for ra, rb in zip(a.entries, b.entries):
+        ints, d = _integer_row(ra + rb)
+        yield ints[:w], ints[w:], d
+
+
+def _add_scaled(a: Matrix, c, b: Matrix) -> Matrix:
+    """a + c * b for matrices of one shape and field and an element c of it.
+
+    Over QQ each row pair is cleared of denominators once and each entry is
+    one Fraction (the canonical Fraction(0) when it is zero); over a finite
+    field each entry is add(e, mul(c, s)).
+    """
+    f = a.field
+    if f.cardinality is None:
+        cn, cd, z = c.numerator, c.denominator, Fraction(0)
+        return _trusted(f, tuple(
+            tuple(Fraction(e, d * cd) if (e := cd * s + cn * t) else z for s, t in zip(srow, trow))
+            for srow, trow, d in _integer_row_pairs(a, b)
+        ))
+    add, mul = f.add, f.mul
+    return _trusted(f, tuple(
+        tuple(add(e, mul(c, s)) for e, s in zip(ra, rb)) for ra, rb in zip(a.entries, b.entries)
+    ))
+
+
 def _rational_product(aent, bent) -> tuple:
     """The entries of a * b over QQ, on integers.
 
@@ -252,13 +285,14 @@ def _rational_product(aent, bent) -> tuple:
 def _rational_gauss_jordan(rows, limit: int, normalise: bool):
     """_gauss_jordan over QQ, fraction-free on primitive integer rows (Bareiss 1968).
 
-    Each row is cleared of denominators and divided by its content, the gcd
-    of its entries.  A row update is pv*row - c*pivot_row, again divided by
-    its content, so every row stays a nonzero multiple of the row the Fraction
-    loop holds: the same entries are zero, and the pivots and swaps are the
-    same.  With normalise, each pivot row is divided by its pivot with one
-    Fraction per entry, which gives the Fraction loop's row; the rows below the
-    rank are returned up to a nonzero scale (callers only test them for zero).
+    Each row (of Fractions, or of ints, whose denominator is 1) is cleared of
+    denominators and divided by its content, the gcd of its entries.  A row
+    update is pv*row - c*pivot_row, again divided by its content, so every
+    row stays a nonzero multiple of the row the Fraction loop holds: the same
+    entries are zero, and the pivots and swaps are the same.  With normalise,
+    each pivot row is divided by its pivot with one Fraction per entry, which
+    gives the Fraction loop's row; the rows below the rank are returned up to
+    a nonzero scale (callers only test them for zero).
 
     The determinant factor follows det(rows) = (num / den) * det(work), kept
     up to date as the rows are scaled, divided and swapped; at the end the
@@ -367,25 +401,28 @@ def span_solve(field: Field, target, generators):
 
     Returns the canonical coefficient list (free variables set to zero in the
     reduced system), so repeated calls with the same input give identical
-    expansions.
+    expansions.  Entries may be anything field.element accepts.
     """
-    return span_solve_many(field, [target], generators)[0]
+    element = field.element
+    gens = [tuple(map(element, g)) for g in generators]
+    return span_solve_many(field, [tuple(map(element, target))], gens)[0]
 
 
 def span_solve_many(field: Field, targets, generators) -> list:
     """span_solve for every target, over one elimination of the generators.
 
-    Eliminates [generators | targets] as columns with pivots only in the
-    generator columns.  A target lies in the span iff its column is zero below
-    the generator rank; its canonical coefficients are read from the pivot
-    rows.  Returns one coefficient list (or None) per target.
+    Takes tuples of canonical elements of field, as the rows of a Matrix or
+    the vectors of a Subspace hold them; span_solve is the entry point for
+    anything else.  Eliminates [generators | targets] as columns with pivots
+    only in the generator columns.  A target lies in the span iff its column
+    is zero below the generator rank; its canonical coefficients are read from
+    the pivot rows.  Returns one coefficient list (or None) per target.
     """
-    gens = [tuple(field.element(e) for e in g) for g in generators]
-    tgts = [tuple(field.element(e) for e in t) for t in targets]
-    if len({len(v) for v in gens + tgts}) > 1:
+    gens = list(generators)
+    columns = gens + list(targets)
+    if len({len(v) for v in columns}) > 1:
         raise errors.ShapeError("span_solve vectors have mixed lengths")
     s = len(gens)
-    columns = gens + tgts
     work, pivot_cols, _ = _gauss_jordan(field, zip(*columns), s)
     r = len(pivot_cols)
     z = field.zero

@@ -43,7 +43,18 @@ from __future__ import annotations
 from . import errors
 from .certificate import Witness, _check_instance, witness_from_matrices
 from .fields import Field, RationalField
-from .matrix import Matrix, _trusted, det, find_gl_transform, kernel_basis, rref, span_solve_many
+from .matrix import (
+    Matrix,
+    _add_scaled,
+    _integer_row_pairs,
+    _rational_gauss_jordan,
+    _trusted,
+    det,
+    find_gl_transform,
+    kernel_basis,
+    rref,
+    span_solve_many,
+)
 
 
 def solve_rational(matrices) -> Witness:
@@ -242,9 +253,10 @@ def correct_bad_index(gs, good: frozenset, j: int, alpha_rows) -> tuple[list[Mat
     x = choose_correction_scalar(field, conditions)
 
     new_gs = list(gs)
-    new_gs[j] = gs[j] + ident.scale(x)
+    new_gs[j] = _add_scaled(gs[j], x, ident)
+    neg_x = field.neg(x)
     for i in others:
-        new_gs[i] = gs[i] - corrections[i].scale(x)
+        new_gs[i] = _add_scaled(gs[i], neg_x, corrections[i])
     good_after = frozenset(i for i, g in enumerate(new_gs) if det(g) != zero)
     errors.check(good | {j} <= good_after, f"correcting index {j} left it singular or lost an invertible multiplier")
     return new_gs, good_after
@@ -256,20 +268,27 @@ def choose_correction_scalar(field: Field, conditions):
 
     Over the rationals the scan runs x = 1, 2, ...; each condition is a nonzero
     polynomial of degree at most n in x, so a valid x exists among the first
-    n * len(conditions) + 1 candidates.  Over a finite field the scan walks the
-    nonzero elements in canonical order and raises ExhaustedBoundError if none
-    works.
+    n * len(conditions) + 1 candidates.  Each row pair of a condition is
+    cleared of denominators once (see matrix._integer_row_pairs), so a
+    candidate v is tested on the integer rows s + v*t, each a positive
+    multiple of the row of base + v * direction, with a fraction-free
+    elimination.  Over a finite field the scan walks the nonzero elements in
+    canonical order and raises ExhaustedBoundError if none works.
     """
     n = conditions[0][0].rows
     zero = field.zero
     if field.is_finite:
-        candidates = (e for e in field.elements() if e != zero)
+        for x in field.elements():
+            if x != zero and all(det(base + direction.scale(x)) != zero for base, direction in conditions):
+                return x
     else:
-        bound = n * len(conditions) + 1
-        candidates = (field.from_int(v) for v in range(1, bound + 1))
-    for x in candidates:
-        if all(det(base + direction.scale(x)) != zero for base, direction in conditions):
-            return x
+        pencils = [[(s, t) for s, t, _ in _integer_row_pairs(base, direction)] for base, direction in conditions]
+        for v in range(1, n * len(conditions) + 2):
+            if all(
+                len(_rational_gauss_jordan([[a + v * b for a, b in zip(s, t)] for s, t in rows], n, False)[1]) == n
+                for rows in pencils
+            ):
+                return field.from_int(v)
     raise errors.ExhaustedBoundError(
         f"no valid scalar among the candidates for {len(conditions)} conditions of degree <= {n}"
     )

@@ -119,6 +119,8 @@ def solve_subspace_dependence(subspaces, n: int) -> SubspaceWitness | None:
     decides it under its default cap, while over the rationals fewer than m+1
     subspaces raise TooFewMatricesError.
     """
+    if type(n) is not int or n < 1:
+        raise ValueError(f"n must be an int >= 1, got {n}")
     subspaces = list(subspaces)
     if not subspaces:
         raise errors.ShapeError("need at least one subspace")

@@ -147,6 +147,15 @@ def test_subspace_padding_over_the_cap_is_refused(tmp_path, capsys):
     assert "over the cap of 10000000" in capsys.readouterr().err
 
 
+def test_subspace_solve_refuses_n_zero(tmp_path, capsys):
+    inp = tmp_path / "family.json"
+    inp.write_text(json.dumps({"field": {"kind": "prime", "p": 2}, "ambient": 2, "subspaces": [[], [], []]}))
+    assert main(["subspace-solve", "--input", str(inp), "--n", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "n must be an int >= 1" in err
+    assert "Traceback" not in err
+
+
 def test_unsafe_finite_flag(tmp_path):
     gf101 = PrimeField(101)
     inst = tmp_path / "inst.json"

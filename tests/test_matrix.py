@@ -345,6 +345,20 @@ def test_span_solve_many_matches_span_solve(field):
         assert span_solve_many(field, targets, gens) == [span_solve(field, t, gens) for t in targets]
 
 
+def test_span_solve_validates_its_entries():
+    # span_solve is the public entry point, so it accepts ints over QQ and
+    # rejects anything field.element refuses; span_solve_many trusts its input.
+    coeffs = span_solve(QQ, (2, 4), [(1, 2), (3, 6)])
+    assert coeffs == [Fraction(2), Fraction(0)]
+    _assert_fractions([coeffs])
+    with pytest.raises(TypeError):
+        span_solve(QQ, (1.0, 2), [(1, 2)])
+    with pytest.raises(TypeError):
+        span_solve(QQ, (1, 2), [(1, 0.5)])
+    with pytest.raises(errors.ShapeError):
+        span_solve(QQ, (1, 2), [(1, 2, 3)])
+
+
 # completion to an invertible matrix
 
 def test_complete_examples():
@@ -536,6 +550,27 @@ def test_sub_is_add_of_negation(pair):
     assert diff == a + (-b)
     if a.field == QQ:
         _assert_fractions(diff.entries)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_same_shape_pairs(), st.data())
+def test_add_scaled_matches_sum_of_scaling(pair, data):
+    a, b = pair
+    f = a.field
+    if f == QQ:
+        c = data.draw(_QQ_ENTRY)
+    else:
+        c = data.draw(st.integers(0, f.cardinality - 1).map(f.element_from_index))
+    expected = a + b.scale(c)
+    if f == QQ:
+        # over QQ the helper runs on integer rows: QQ's add and mul are never called
+        with mock.patch.object(RationalField, "add", _no_fraction_arithmetic), \
+                mock.patch.object(RationalField, "mul", _no_fraction_arithmetic):
+            got = matrix_module._add_scaled(a, c, b)
+        _assert_fractions(got.entries)
+    else:
+        got = matrix_module._add_scaled(a, c, b)
+    assert got == expected
 
 
 # JSON

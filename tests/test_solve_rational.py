@@ -1,11 +1,16 @@
 """Recursive solver over the rationals: bases, projection, correction, instrumentation."""
 
+import ast
 import hashlib
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     KINDS,
@@ -15,7 +20,7 @@ from conftest import (
     random_matrix,
     recorded_corrections,
 )
-from glndep import errors
+from glndep import errors, rational_solver
 from glndep.certificate import TAG_INVERTIBLE, TAG_ZERO, verify_witness, witness_from_matrices, witness_to_json
 from glndep.fields import ExtensionField, PrimeField, RationalField
 from glndep.matrix import Matrix, det, kernel_basis
@@ -306,6 +311,74 @@ def test_choose_scalar_respects_scan_bound():
     assert x <= 2 * len(conds) + 1
 
 
+def _det_scan(conditions):
+    """The QQ scan on Fractions: x = 1, 2, ... up to the bound, with one
+    determinant of base + x * direction per condition and candidate."""
+    n = conditions[0][0].rows
+    for v in range(1, n * len(conditions) + 2):
+        x = Fraction(v)
+        if all(det(base + direction.scale(x)) != 0 for base, direction in conditions):
+            return x
+    return errors.ExhaustedBoundError
+
+
+def _no_det(matrix):
+    raise AssertionError("the QQ scan called det")
+
+
+_SCAN_ENTRY = st.one_of(st.integers(-3, 3), st.fractions(-20, 20, max_denominator=12)).map(Fraction)
+
+
+@st.composite
+def _conditions(draw):
+    """Condition lists over QQ: random, singular and shifted bases (base =
+    -k * direction, singular at x = k), and diagonal bases -diag(k_1, ...)
+    against the identity, which forbid x = k_i and push the scan past 1."""
+    n = draw(st.integers(1, 4))
+    ident = Matrix.identity(QQ, n)
+
+    def square():
+        return Matrix(QQ, tuple(tuple(draw(_SCAN_ENTRY) for _ in range(n)) for _ in range(n)))
+
+    out = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("random", "singular", "shifted", "diagonal")))
+        direction = ident if draw(st.booleans()) else square()
+        if kind == "diagonal":
+            ks = [Fraction(-draw(st.integers(1, 4))) for _ in range(n)]
+            base = Matrix(QQ, tuple(tuple(ks[r] if r == c else Fraction(0) for c in range(n)) for r in range(n)))
+            direction = ident
+        elif kind == "shifted":
+            base = direction.scale(Fraction(-draw(st.integers(1, 3))))
+        else:
+            base = square()
+            if kind == "singular":
+                rows = list(base.entries)
+                k = draw(st.integers(0, 2))
+                rows[draw(st.integers(0, n - 1))] = tuple(k * e for e in rows[draw(st.integers(0, n - 1))])
+                base = Matrix(QQ, tuple(rows))
+        out.append((base, direction))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@example([(qmat([[-1, 0], [0, -2]]), Matrix.identity(QQ, 2))])
+@example([(qmat([[-1, 0], [0, -2]]), Matrix.identity(QQ, 2)), (qmat([[-3, 0], [0, -4]]), Matrix.identity(QQ, 2))])
+@example([(qmat([[1, 2], [2, 4]]), qmat([[Fraction(1, 2), 0], [0, Fraction(-1, 3)]]))])
+@example([(qmat([[1, 2], [2, 4]]), qmat([[1, 2], [2, 4]]))])
+@given(_conditions())
+def test_integer_scan_matches_determinant_scan(conditions):
+    expected = _det_scan(conditions)
+    with mock.patch.object(rational_solver, "det", _no_det):
+        try:
+            got = choose_correction_scalar(QQ, conditions)
+        except errors.ExhaustedBoundError as exc:
+            got = type(exc)
+    assert got == expected
+    if got is not errors.ExhaustedBoundError:
+        assert type(got) is Fraction
+
+
 # experimental finite-field mode
 
 def test_recursive_mode_exhausts_tiny_field():
@@ -370,9 +443,18 @@ def test_postcondition_checks_survive_optimize_flag():
         "from glndep.fields import RationalField",
         "from glndep.matrix import Matrix",
         "QQ = RationalField()",
+        "weighted_sum = rs._weighted_sum",
         "rs._weighted_sum = lambda gs, ms: Matrix.identity(QQ, 1)",
         "try:",
         "    rs.solve_rational([Matrix.identity(QQ, 1), Matrix.identity(QQ, 1)])",
+        "except PostconditionError as exc:",
+        "    print('PostconditionError:', exc)",
+        # The rows of each identity lie in the span of the others, so the
+        # solver corrects; the fresh determinants then find no invertible g.
+        "rs._weighted_sum = weighted_sum",
+        "rs.det = lambda matrix: QQ.zero",
+        "try:",
+        "    rs.solve_rational([Matrix.identity(QQ, 2)] * 3)",
         "except PostconditionError as exc:",
         "    print('PostconditionError:', exc)",
     ])
@@ -380,7 +462,60 @@ def test_postcondition_checks_survive_optimize_flag():
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("PostconditionError:")
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2
+    assert all(line.startswith("PostconditionError:") for line in lines)
+    assert "left it singular or lost an invertible multiplier" in lines[1]
+
+
+# The post-conditions of rational_solver, by the text of their errors.check
+# messages ({} for an interpolated value).  A change that drops or rewords one
+# has to edit this list.
+RATIONAL_SOLVER_CHECKS = [
+    "the witness sum is nonzero",
+    "the row-dependence multipliers do not sum to zero",
+    "correcting index {} broke the witness sum",
+    "row slice {}: {} vectors of length {} are independent",
+    "span of the other rows has dimension {}, expected <= {}",
+    "the lifted multipliers do not sum to zero",
+    "correcting index {} left it singular or lost an invertible multiplier",
+]
+
+
+def _check_message(node):
+    if isinstance(node, ast.Constant):
+        return node.value
+    return "".join(part.value if isinstance(part, ast.Constant) else "{}" for part in node.values)
+
+
+def test_rational_solver_postconditions_are_pinned():
+    tree = ast.parse(Path(rational_solver.__file__).read_text())
+    found = [
+        _check_message(node.args[1])
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "check"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "errors"
+    ]
+    assert sorted(found) == sorted(RATIONAL_SOLVER_CHECKS)
+
+
+def test_solver_does_not_revalidate_entries():
+    # Entries are validated where they enter (Matrix constructors, span_solve);
+    # the solver and its span solving pass canonical elements along.
+    rng = random.Random(97)
+    instances = [[golden_matrix(rng, QQ, n, m, "rank1") for _ in range(m + 1)] for n, m in [(2, 2), (3, 2), (3, 3)]]
+    instances.append([Matrix.identity(QQ, 2)] * 3)
+
+    def refuse(self, a):
+        raise AssertionError("RationalField.element called")
+
+    with mock.patch.object(RationalField, "element", refuse), recorded_corrections() as records:
+        for mats in instances:
+            verify_witness(mats, solve_rational(mats))
+    assert records, "no instance reached the correction step"
 
 
 def test_unsafe_finite_rejects_rational_matrices():

@@ -193,6 +193,14 @@ def test_dimension_gate():
         solve_subspace_dependence([plane, plane, plane], 1)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_n_below_one_is_refused(n):
+    # With n = 0 a representative matrix would have no rows at all.
+    trivial = Subspace.from_vectors(GF2, 2, [])
+    with pytest.raises(ValueError, match="n must be an int >= 1"):
+        solve_subspace_dependence([trivial, trivial, trivial], n)
+
+
 def test_zero_subspace_alone_is_dependent():
     trivial = Subspace.from_vectors(GF2, 2, [])
     witness = solve_subspace_dependence([trivial], 1)
