@@ -135,6 +135,8 @@ def _cmd_subspace_solve(args) -> int:
 
 
 def _cmd_make_h(args) -> int:
+    # H is n matrices of n x n, built over an extension found by a degree-n search.
+    _check_size("--n", args.n ** 3)
     field = parse_field(args.field)
     basis = build_fullrank_basis(field, args.n)
     _emit(fullrank_to_json(basis), args.output)

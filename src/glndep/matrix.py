@@ -30,25 +30,19 @@ from .fields import Field, field_from_json, field_to_json
 class Matrix(errors._Record):
     """An immutable matrix: its field and a non-empty tuple of equal-length row tuples.
 
-    Matrix(field, entries) and the from_* constructors validate every entry,
-    as does matrix_from_json; zero and identity check their shape.  Results of
-    the module's own arithmetic and elimination are canonical by construction
-    and skip that check (see _trusted).
+    Matrix(field, entries) validates every entry; the from_* constructors and
+    matrix_from_json make each entry canonical once (field.element,
+    element_from_json) and check the shape; zero and identity check their
+    shape.  Results of the module's own arithmetic and elimination are
+    canonical by construction and skip that check (see _trusted).
     """
 
     __slots__ = ("field", "entries")
 
     def __post_init__(self):
-        entries = self.entries
-        if not isinstance(entries, tuple) or not entries:
-            raise errors.ShapeError("matrix needs at least one row")
-        cols = len(entries[0])
-        if cols == 0:
-            raise errors.ShapeError("matrix needs at least one column")
+        _check_rows(self.entries)
         validate = self.field.validate
-        for row in entries:
-            if not isinstance(row, tuple) or len(row) != cols:
-                raise errors.ShapeError("ragged matrix rows")
+        for row in self.entries:
             for e in row:
                 validate(e)
 
@@ -62,7 +56,9 @@ class Matrix(errors._Record):
 
     @classmethod
     def from_rows(cls, field: Field, rows) -> "Matrix":
-        return cls(field, tuple(tuple(field.element(e) for e in row) for row in rows))
+        entries = tuple(tuple(field.element(e) for e in row) for row in rows)
+        _check_rows(entries)
+        return _trusted(field, entries)
 
     @classmethod
     def from_columns(cls, field: Field, cols) -> "Matrix":
@@ -71,7 +67,9 @@ class Matrix(errors._Record):
             raise errors.ShapeError("matrix needs at least one column")
         if len({len(col) for col in cols}) > 1:
             raise errors.ShapeError("ragged matrix columns")
-        return cls(field, tuple(zip(*cols)))
+        entries = tuple(zip(*cols))
+        _check_rows(entries)
+        return _trusted(field, entries)
 
     @classmethod
     def zero(cls, field: Field, rows: int, cols: int) -> "Matrix":
@@ -164,12 +162,26 @@ def _trusted(field: Field, entries: tuple) -> Matrix:
     The caller guarantees a non-empty tuple of equal-length, non-empty row
     tuples of canonical elements of field: sums, products and eliminations of
     valid matrices, or rows assembled from already validated elements.
-    Anything read from outside goes through Matrix(field, entries).
+    Anything read from outside is checked first: by Matrix(field, entries),
+    or entry by entry by field.element or element_from_json (see the from_*
+    constructors and matrix_from_json).
     """
     m = object.__new__(Matrix)
     _set_field(m, field)
     _set_entries(m, entries)
     return m
+
+
+def _check_rows(entries) -> None:
+    """Raise ShapeError unless entries is a non-empty tuple of equal-length, non-empty row tuples."""
+    if not isinstance(entries, tuple) or not entries:
+        raise errors.ShapeError("matrix needs at least one row")
+    cols = len(entries[0])
+    if cols == 0:
+        raise errors.ShapeError("matrix needs at least one column")
+    for row in entries:
+        if not isinstance(row, tuple) or len(row) != cols:
+            raise errors.ShapeError("ragged matrix rows")
 
 
 def _check_shape(rows: int, cols: int) -> None:
@@ -194,6 +206,14 @@ def _gauss_jordan(field: Field, rows, limit: int, normalise: bool = True):
     swap.  For a square matrix with a pivot in every column that factor is its
     determinant.  Over QQ see _rational_gauss_jordan, which leaves the rows as
     integers when normalise is false.
+
+    Over a finite field the pivot row is zero in every column left of the
+    pivot column: the earlier pivot columns have been cleared, and an earlier
+    free column was zero from the pivot row down when it was passed, and has
+    only had multiples of such rows added since.  So the pivot row is scaled,
+    and the other rows are updated in place, only from the pivot column on.
+    The skipped entries would have been e + c*0 == e, so the rows, pivots and
+    factor are the values the full-row update gives.
     """
     if field.cardinality is None:
         return _rational_gauss_jordan(rows, limit, normalise)
@@ -214,16 +234,17 @@ def _gauss_jordan(field: Field, rows, limit: int, normalise: bool = True):
             work[pr], work[pivot] = work[pivot], work[pr]
             factor = neg(factor)
         src = work[pr]
-        pv = src[col]
+        tail = src[col:]
+        pv = tail[0]
         if pv != o:
             factor = mul(factor, pv)
             scale = field.inv(pv)
-            src = work[pr] = [mul(scale, e) for e in src]
+            tail = src[col:] = [mul(scale, e) for e in tail]
         for r, row in enumerate(work):
             c = row[col]
             if r != pr and c != z:
                 c = neg(c)
-                work[r] = [add(e, mul(c, s)) for e, s in zip(row, src)]
+                row[col:] = [add(e, mul(c, s)) for e, s in zip(row[col:], tail)]
         pivot_cols.append(col)
     return work, tuple(pivot_cols), factor
 
@@ -507,4 +528,5 @@ def matrix_from_json(obj) -> Matrix:
         if not isinstance(row, list) or len(row) != cols:
             raise errors.ParseError(f"matrix row must be a list of {cols} entries")
         parsed.append(tuple(dec(e) for e in row))
-    return Matrix(field, tuple(parsed))
+    # element_from_json returns canonical elements, and the shape is checked above.
+    return _trusted(field, tuple(parsed))

@@ -147,6 +147,18 @@ def test_subspace_padding_over_the_cap_is_refused(tmp_path, capsys):
     assert "over the cap of 10000000" in capsys.readouterr().err
 
 
+def test_make_h_over_the_cap_is_refused(tmp_path, capsys):
+    # H is n matrices of n x n: 216^3 > 10^7 is refused before the degree-216 search.
+    out = tmp_path / "h.json"
+    start = time.perf_counter()
+    assert main(["make-h", "--field", "prime:2", "--n", "216", "--output", str(out)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert not out.exists()
+    assert "--n asks for 10077696 matrix entries, over the cap of 10000000" in capsys.readouterr().err
+    assert main(["make-h", "--field", "prime:2", "--n", "4", "--output", str(out)]) == 0
+    assert json.loads(out.read_text()) == json.loads(json.dumps(fullrank_to_json(build_fullrank_basis(GF2, 4))))
+
+
 def test_subspace_solve_refuses_n_zero(tmp_path, capsys):
     inp = tmp_path / "family.json"
     inp.write_text(json.dumps({"field": {"kind": "prime", "p": 2}, "ambient": 2, "subspaces": [[], [], []]}))

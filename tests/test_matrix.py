@@ -387,30 +387,35 @@ def test_complete_rejects_dependent_input():
         complete_to_invertible(QQ, 2, [(1, 0), (2, 0)])
 
 
-# QQ elimination runs on integers; it and the product must give exactly what
-# the same algorithms give on Fractions.
+# QQ elimination runs on integers, and finite-field elimination skips the
+# columns left of the pivot; both must give exactly what textbook Gauss-Jordan
+# gives in the field's own arithmetic (on Fractions over QQ), and the QQ
+# product what the same product gives on Fractions.
 
 def _reference_gauss_jordan(field, rows, limit, normalise=True):
-    """Gauss-Jordan on Fractions, first-nonzero pivots scaled to 1; the factor
-    is the product of the pivots, negated once per row swap.  The rows are
-    always normalised, whatever det asks for."""
+    """Gauss-Jordan with first-nonzero pivots scaled to 1 and every row
+    updated over its full length; the factor is the product of the pivots,
+    negated once per row swap.  The rows are always normalised, whatever det
+    asks for."""
+    z, mul = field.zero, field.mul
     work = [list(row) for row in rows]
-    pivot_cols, factor = [], Fraction(1)
+    pivot_cols, factor = [], field.one
     for col in range(limit):
         pr = len(pivot_cols)
-        pivot = next((r for r in range(pr, len(work)) if work[r][col]), None)
+        pivot = next((r for r in range(pr, len(work)) if work[r][col] != z), None)
         if pivot is None:
             continue
         if pivot != pr:
             work[pr], work[pivot] = work[pivot], work[pr]
-            factor = -factor
+            factor = field.neg(factor)
         pv = work[pr][col]
-        factor *= pv
-        src = work[pr] = [e / pv for e in work[pr]]
+        factor = mul(factor, pv)
+        scale = field.inv(pv)
+        src = work[pr] = [mul(scale, e) for e in work[pr]]
         for r, row in enumerate(work):
             c = row[col]
-            if r != pr and c:
-                work[r] = [e - c * s for e, s in zip(row, src)]
+            if r != pr and c != z:
+                work[r] = [field.sub(e, mul(c, s)) for e, s in zip(row, src)]
         pivot_cols.append(col)
     return work, tuple(pivot_cols), factor
 
@@ -505,6 +510,68 @@ def test_qq_elimination_matches_fraction_reference(m, data):
     assert solved == _on_fractions(span_solve_many, QQ, targets, m.entries)
     assert solved[0] is not None and solved[2] is not None
     _assert_fractions(c for c in solved if c is not None)
+
+
+GF31 = PrimeField(31)
+GF16 = ExtensionField(2, 4)
+GF9 = ExtensionField(3, 2)
+# Above 256 elements there are no tables: GF(2^16) runs the polynomial arithmetic.
+GF65536 = ExtensionField(2, 16, modulus=(1, 1, 0, 1, 0, 1) + (0,) * 10 + (1,))
+
+
+@st.composite
+def _finite_systems(draw, field=st.sampled_from((GF2, GF3, GF31, GF16, GF9))):
+    """(field, rows, limit): rows that are fresh, zero, a multiple of an
+    earlier row or the sum of two earlier ones; fresh entries are zero half
+    the time, so free columns come before later pivots.  limit < cols leaves
+    the trailing columns as an augmented part."""
+    field = draw(field)
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    element = st.integers(0, field.cardinality - 1).map(field.element_from_index)
+    entry = st.one_of(st.just(field.zero), element)
+    out = []
+    for _ in range(nrows):
+        how = draw(st.sampled_from(("fresh", "fresh", "fresh", "zero", "multiple", "sum")))
+        if how == "zero":
+            out.append((field.zero,) * ncols)
+        elif how == "multiple" and out:
+            c, row = draw(element), draw(st.sampled_from(out))
+            out.append(tuple(field.mul(c, e) for e in row))
+        elif how == "sum" and out:
+            a, b = draw(st.sampled_from(out)), draw(st.sampled_from(out))
+            out.append(tuple(map(field.add, a, b)))
+        else:
+            out.append(tuple(draw(entry) for _ in range(ncols)))
+    return field, tuple(out), draw(st.integers(1, ncols))
+
+
+def _assert_matches_full_row_reference(field, rows, limit):
+    work, pivot_cols, factor = matrix_module._gauss_jordan(field, rows, limit)
+    ref_work, ref_pivots, ref_factor = _reference_gauss_jordan(field, rows, limit)
+    assert work == ref_work
+    assert pivot_cols == ref_pivots
+    assert factor == ref_factor
+
+
+@settings(max_examples=300, deadline=None)
+@example((GF3, ((0, 1, 2), (0, 2, 1), (1, 0, 0)), 3))
+@example((GF2, ((0, 0, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0)), 2))
+@given(_finite_systems())
+def test_finite_elimination_matches_full_row_reference(system):
+    _assert_matches_full_row_reference(*system)
+
+
+@pytest.mark.parametrize("rows, limit", [
+    (((0, 3, 7), (5, 0, 9), (0, 0, 0)), 3),
+    # column 1 is free but nonzero in the pivot row above it; the update from column 2 must keep it
+    (((1, 2, 0, 5), (0, 0, 3, 1), (1, 2, 9, 9)), 4),
+    (((2, 4, 6, 1), (1, 2, 3, 5), (0, 0, 7, 2)), 3),
+    (((1, 9, 40000, 3), (65535, 2, 0, 0), (0, 0, 0, 0), (7, 7, 7, 7)), 2),
+])
+def test_gf65536_elimination_matches_full_row_reference(rows, limit):
+    field = GF65536
+    rows = tuple(tuple(map(field.element_from_index, row)) for row in rows)
+    _assert_matches_full_row_reference(field, rows, limit)
 
 
 @st.composite
