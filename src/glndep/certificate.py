@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from . import errors
 from .fields import Field, field_from_json, field_to_json
-from .matrix import Matrix, det, matrix_from_json, matrix_to_json
+from .matrix import Matrix, _weighted_sum, det, matrix_from_json, matrix_to_json
 
 TAG_ZERO = "zero"
 TAG_INVERTIBLE = "inv"
@@ -92,9 +92,7 @@ def verify_witness(matrices, witness: Witness) -> None:
                 raise VerificationError("singular", index=i, detail="claimed-invertible entry is singular")
     if all(tag == TAG_ZERO for tag in witness.tags):
         raise VerificationError("all-zero")
-    total = Matrix.zero(field, n, m)
-    for g, M in zip(witness.entries, matrices):
-        total = total + g * M
+    total = _weighted_sum(witness.entries, matrices)
     for r in range(n):
         for c in range(m):
             if total.entries[r][c] != zero:

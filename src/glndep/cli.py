@@ -24,7 +24,7 @@ from .certificate import (
 from .fields import field_from_json, field_from_order, parse_field
 from .fullrank import build_fullrank_basis, fullrank_to_json
 from .matrix import Matrix
-from .oracle import DEFAULT_CAP, brute_force_witness, exhaustive_theorem_check, report_to_json
+from .oracle import DEFAULT_CAP, _check_sweep_size, brute_force_witness, exhaustive_theorem_check, report_to_json
 from .finite_solver import solve_finite
 from .rational_solver import solve_rational, solve_unsafe_finite
 from .subspaces import (
@@ -42,7 +42,10 @@ EXIT_IO = 3
 
 def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise errors.ParseError(f"{path}: JSON nested too deeply") from None
 
 
 def _emit(obj, path: str | None) -> None:
@@ -158,6 +161,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_check_theorem(args) -> int:
+    # The flags are checked before the field is built: that is bounded too, but not free.
+    _check_sweep_size(args.q, args.n, args.m, args.cap)
     field = field_from_order(args.q)
     report = exhaustive_theorem_check(field, args.n, args.m, cap=args.cap)
     _emit(report_to_json(report), args.output)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from . import errors
 from .certificate import Witness, _check_instance, witness_from_matrices
-from .fullrank import build_fullrank_basis
+from .fullrank import _member, build_fullrank_basis
 from .matrix import Matrix, _trusted, kernel_basis
 
 
@@ -33,14 +33,6 @@ def solve_finite(matrices) -> Witness:
     kernel = kernel_basis(_trusted(field, tuple(zip(*columns))))
     errors.check(bool(kernel), f"({m + 1})*{n} unknowns vs {m * n} equations left no kernel vector")
     coeffs = kernel[0]
-    zero = field.zero
-    gs = []
-    for i in range(m + 1):
-        g = Matrix.zero(field, n, n)
-        for t in range(n):
-            c = coeffs[i * n + t]
-            if c != zero:
-                g = g + basis.basis[t].scale(c)
-        gs.append(g)
+    gs = [_member(basis, coeffs[i * n : (i + 1) * n]) for i in range(m + 1)]
     gs += [Matrix.zero(field, n, n)] * (len(matrices) - m - 1)
     return witness_from_matrices(field, gs)

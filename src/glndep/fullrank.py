@@ -15,7 +15,7 @@ from itertools import product
 
 from . import errors
 from .fields import Field, field_from_json, field_to_json, find_irreducible
-from .matrix import Matrix, _trusted, det, matrix_from_json, matrix_to_json
+from .matrix import Matrix, _add_scaled, _trusted, det, matrix_from_json, matrix_to_json
 
 
 class FullRankBasis(errors._Record):
@@ -81,15 +81,20 @@ def check_fullrank_basis(basis: FullRankBasis) -> bool:
     elements = tuple(field.elements())
     zero = field.zero
     for coeffs in product(elements, repeat=n):
-        if all(c == zero for c in coeffs):
-            continue
-        combo = Matrix.zero(field, n, n)
-        for c, b in zip(coeffs, basis.basis):
-            if c != zero:
-                combo = combo + b.scale(c)
-        if det(combo) == zero:
+        if any(c != zero for c in coeffs) and det(_member(basis, coeffs)) == zero:
             return False
     return True
+
+
+def _member(basis: FullRankBasis, coeffs) -> Matrix:
+    """The member sum_t coeffs[t] * B_t of H, one n-tuple of coefficients given."""
+    field = basis.field
+    zero = field.zero
+    g = Matrix.zero(field, basis.n, basis.n)
+    for c, b in zip(coeffs, basis.basis):
+        if c != zero:
+            g = _add_scaled(g, c, b)
+    return g
 
 
 def fullrank_to_json(basis: FullRankBasis) -> dict:

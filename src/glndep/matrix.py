@@ -15,6 +15,10 @@ correction step of rational_solver also runs on integer rows: its scalar scan
 eliminates cleared row pairs (see _integer_row_pairs), and its multiplier
 updates a + c*b make one Fraction per entry (see _add_scaled).  Other sums
 stay on Fractions.
+
+Matrices combine in two ways only: a + c*b through _add_scaled (members of a
+full-rank subspace, correction steps, scalar scans) and sum(g_i * M_i)
+through _weighted_sum (solver post-conditions and the verifier).
 """
 
 from __future__ import annotations
@@ -93,23 +97,16 @@ class Matrix(errors._Record):
         z = self.field.zero
         return all(e == z for row in self.entries for e in row)
 
-    def _entrywise(self, other, op, sign: str) -> "Matrix":
+    def __add__(self, other):
+        if not isinstance(other, Matrix):
+            return NotImplemented
         self._check_same_field(other)
         a, b = self.entries, other.entries
         rows, cols = len(a), len(a[0])
         if rows != len(b) or cols != len(b[0]):
-            raise errors.ShapeError(f"{rows}x{cols} {sign} {len(b)}x{len(b[0])}")
-        return _trusted(self.field, tuple(tuple(map(op, r1, r2)) for r1, r2 in zip(a, b)))
-
-    def __add__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return self._entrywise(other, self.field.add, "+")
-
-    def __sub__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return self._entrywise(other, self.field.sub, "-")
+            raise errors.ShapeError(f"{rows}x{cols} + {len(b)}x{len(b[0])}")
+        add = self.field.add
+        return _trusted(self.field, tuple(tuple(map(add, r1, r2)) for r1, r2 in zip(a, b)))
 
     def __neg__(self):
         neg = self.field.neg
@@ -138,12 +135,6 @@ class Matrix(errors._Record):
                 row.append(acc)
             out.append(tuple(row))
         return _trusted(f, tuple(out))
-
-    def scale(self, c) -> "Matrix":
-        f = self.field
-        f.validate(c)
-        mul = f.mul
-        return _trusted(f, tuple(tuple(mul(c, e) for e in row) for row in self.entries))
 
     def __repr__(self):
         rows = ", ".join("[" + ", ".join(repr(e) for e in row) + "]" for row in self.entries)
@@ -285,6 +276,16 @@ def _add_scaled(a: Matrix, c, b: Matrix) -> Matrix:
     return _trusted(f, tuple(
         tuple(add(e, mul(c, s)) for e, s in zip(ra, rb)) for ra, rb in zip(a.entries, b.entries)
     ))
+
+
+def _weighted_sum(gs, matrices) -> Matrix:
+    """sum(g_i * M_i) over a non-empty sequence of pairs: k products and k-1 sums."""
+    pairs = zip(gs, matrices)
+    g, M = next(pairs)
+    total = g * M
+    for g, M in pairs:
+        total = total + g * M
+    return total
 
 
 def _rational_product(aent, bent) -> tuple:

@@ -49,6 +49,7 @@ from .matrix import (
     _integer_row_pairs,
     _rational_gauss_jordan,
     _trusted,
+    _weighted_sum,
     det,
     find_gl_transform,
     kernel_basis,
@@ -101,14 +102,6 @@ def _solve_entry(matrices: list[Matrix]) -> list[Matrix]:
     gs = _solve_core(matrices[: m + 1]) + [zero_g] * (k - m - 1)
     errors.check(_weighted_sum(gs, matrices).is_zero(), "the witness sum is nonzero")
     return gs
-
-
-def _weighted_sum(gs, matrices) -> Matrix:
-    total = None
-    for g, M in zip(gs, matrices):
-        term = g * M
-        total = term if total is None else total + term
-    return total
 
 
 def _solve_core(matrices: list[Matrix]) -> list[Matrix]:
@@ -279,7 +272,7 @@ def choose_correction_scalar(field: Field, conditions):
     zero = field.zero
     if field.is_finite:
         for x in field.elements():
-            if x != zero and all(det(base + direction.scale(x)) != zero for base, direction in conditions):
+            if x != zero and all(det(_add_scaled(base, x, direction)) != zero for base, direction in conditions):
                 return x
     else:
         pencils = [[(s, t) for s, t, _ in _integer_row_pairs(base, direction)] for base, direction in conditions]

@@ -27,6 +27,12 @@ def random_matrix(rng, field, rows, cols):
     )
 
 
+def scaled(m, c):
+    """c * m, entry by entry in the field's own arithmetic: a reference for
+    the combinations that matrix._add_scaled computes."""
+    return Matrix(m.field, tuple(tuple(m.field.mul(c, e) for e in row) for row in m.entries))
+
+
 def random_invertible(rng, field, n):
     while True:
         m = random_matrix(rng, field, n, n)
@@ -75,7 +81,8 @@ class Correction(namedtuple("Correction", "matrices gs good j new_gs good_after"
     @property
     def x(self):
         """The correction scalar: new_gs[j] - gs[j] is x times the identity."""
-        return (self.new_gs[self.j] - self.gs[self.j]).entries[0][0]
+        field = self.gs[0].field
+        return field.sub(self.new_gs[self.j].entries[0][0], self.gs[self.j].entries[0][0])
 
 
 @contextmanager
@@ -121,7 +128,7 @@ def assert_correction_invariants(rec: Correction):
     assert total.is_zero(), "weighted sum drifted during a correction"
     x = rec.x
     assert x != field.zero
-    assert rec.new_gs[rec.j] - rec.gs[rec.j] == Matrix.identity(field, n).scale(x)
+    assert rec.new_gs[rec.j] == rec.gs[rec.j] + scaled(Matrix.identity(field, n), x)
     assert rec.good < rec.good_after, "good-index set did not strictly grow"
     assert rec.j in rec.good_after
     if not field.is_finite:

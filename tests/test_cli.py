@@ -338,3 +338,57 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "all_have_witness=True" in proc.stdout
+
+
+def test_extension_field_over_the_cap_is_usage_error(tmp_path, capsys):
+    # Both reach ExtensionField, which refuses p^k > 2^64 before any search.
+    inst = tmp_path / "inst.json"
+    modulus = ["0"] * 1280
+    modulus[0] = modulus[216] = modulus[1279] = "1"
+    inst.write_text(json.dumps({
+        "field": {"kind": "ext", "p": 2, "k": 1279, "modulus": modulus},
+        "matrices": [{"field": {"kind": "prime", "p": 2}, "rows": 1, "cols": 1, "entries": [["1"]]}],
+    }))
+    start = time.perf_counter()
+    assert main(["solve", "--field", "ext:2:2000", "--random", "1", "1", "2"]) == 2
+    assert main(["verify", "--instance", str(inst), "--witness", str(inst)]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.count("larger than the cap of 2^64 elements") == 2
+    assert "Traceback" not in err
+
+
+def test_check_theorem_flags_are_checked_before_any_work(capsys):
+    # --m 0 used to index an empty tuple; 2^61 - 1 used to be trial-divided
+    # up to its square root before the instance count met the cap.
+    start = time.perf_counter()
+    assert main(["check-theorem", "--q", "2", "--n", "1", "--m", "0"]) == 2
+    assert main(["check-theorem", "--q", "2", "--n", "0", "--m", "1"]) == 2
+    assert main(["check-theorem", "--q", "1", "--n", "1", "--m", "1"]) == 2
+    assert main(["check-theorem", "--q", "2305843009213693951", "--n", "1", "--m", "1"]) == 2
+    assert main(["check-theorem", "--q", "2", "--n", "1000000000000", "--m", "1000000000000"]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "m must be an int >= 1, got 0" in err
+    assert "2305843009213693951^2 instances exceed the cap of 10000000" in err
+    assert "Traceback" not in err
+
+
+def test_deeply_nested_json_is_input_error(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["verify", "--instance", str(deep), "--witness", str(deep)]) == 3
+    assert main(["oracle", "--input", str(deep)]) == 3
+    assert main(["subspace-solve", "--input", str(deep), "--n", "1"]) == 3
+    assert capsys.readouterr().err.count("JSON nested too deeply") == 3
+
+
+def test_oracle_on_a_tall_instance_is_refused_quickly(tmp_path, capsys):
+    # 1 + |GL(1000, 2)| has about 10^6 bits; its square used to be computed
+    # and then printed, which str() refuses beyond 4,300 digits.
+    inst = tmp_path / "tall.json"
+    write_instance(inst, GF2, [Matrix.from_rows(GF2, [[1]] * 1000)] * 20)
+    start = time.perf_counter()
+    assert main(["oracle", "--input", str(inst)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "(1 + |GL(1000, 2)|)^20 candidate tuples exceed the cap of 10000000" in capsys.readouterr().err

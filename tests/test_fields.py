@@ -1,6 +1,7 @@
 """Field arithmetic: construction, canonical forms, axioms, and JSON encoding."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -317,12 +318,62 @@ def test_parse_field_selectors():
         parse_field("galois:2")
 
 
+def _order_by_trial_division(q):
+    """(p, k) with q == p^k for a prime p, or None."""
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    k, rest = 0, q
+    while rest % p == 0:
+        rest, k = rest // p, k + 1
+    return (p, k) if rest == 1 else None
+
+
 def test_field_from_order():
     assert field_from_order(7) == GF7
     assert field_from_order(4) == GF4
     assert field_from_order(9) == GF9
     with pytest.raises(ValueError):
         field_from_order(6)
+    for q in range(2, 3000):
+        try:
+            field = field_from_order(q)
+        except ValueError:
+            assert _order_by_trial_division(q) is None, q
+        else:
+            assert (field.p, getattr(field, "k", 1)) == _order_by_trial_division(q), q
+
+
+def test_field_from_order_ends_quickly_for_every_order():
+    # 2^61 - 1 is prime: trial division up to its square root took minutes.
+    start = time.perf_counter()
+    assert field_from_order(2 ** 31 - 1) == PrimeField(2 ** 31 - 1)
+    assert field_from_order(46337 ** 2) == ExtensionField(46337, 2)
+    for q in (2 ** 61 - 1, 2 ** 31 * 3, (2 ** 31 + 11) ** 2, 2 ** 64 - 1):
+        with pytest.raises(ValueError):
+            field_from_order(q)
+    for q in (2 ** 64 + 1, 3 ** 41, 10 ** 4000):
+        with pytest.raises(errors.TooLargeError):
+            field_from_order(q)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_extension_fields_over_2_to_the_64_are_refused():
+    # GF(2^1279) by the trinomial x^1279 + x^216 + 1: refused before Ben-Or runs.
+    modulus = [0] * 1280
+    modulus[0] = modulus[216] = modulus[1279] = 1
+    start = time.perf_counter()
+    for build in (
+        lambda: ExtensionField(2, 2000),
+        lambda: ExtensionField(2, 10 ** 30),
+        lambda: ExtensionField(3, 41),
+        lambda: ExtensionField(2, 1279, modulus),
+        lambda: parse_field("ext:2:2000"),
+        lambda: field_from_json({"kind": "ext", "p": 2, "k": 1279, "modulus": [str(c) for c in modulus]}),
+    ):
+        with pytest.raises(errors.TooLargeError, match="cap of 2\\^64"):
+            build()
+    assert time.perf_counter() - start < 1.0
+    assert ExtensionField(2, 64).cardinality == 2 ** 64
+    assert ExtensionField(3, 40).cardinality == 3 ** 40
 
 
 @pytest.mark.parametrize("field", [GF2, GF7, GF4, GF9, QQ])

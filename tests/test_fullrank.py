@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from conftest import scaled
 from glndep import errors
 from glndep.fields import ExtensionField, PrimeField, RationalField
 from glndep.fullrank import (
@@ -107,7 +108,7 @@ def test_companion_satisfies_its_modulus(field, n):
     total = Matrix.zero(field, n, n)
     for coeff in fb.modulus:
         if coeff != field.zero:
-            total = total + power.scale(coeff)
+            total = total + scaled(power, coeff)
         power = power * c
     assert total.is_zero()
 

@@ -185,6 +185,18 @@ def test_theorem_sweep_cap():
         exhaustive_theorem_check(GF2, 2, 2, cap=100)
 
 
+@pytest.mark.parametrize("n, m", [(1, 0), (0, 1), (-1, 2), (2, -3)])
+def test_theorem_sweep_refuses_empty_shapes(n, m):
+    with pytest.raises(ValueError, match="must be an int >= 1"):
+        exhaustive_theorem_check(GF2, n, m)
+
+
+def test_theorem_sweep_cap_is_checked_without_the_power():
+    # 2^(n*m*(m+1)) for n = m = 10^12 has 10^36 bits; the check stops past the cap.
+    with pytest.raises(errors.TooLargeError, match="instances exceed the cap"):
+        exhaustive_theorem_check(GF2, 10 ** 12, 10 ** 12)
+
+
 def test_report_json_shape():
     report = exhaustive_theorem_check(GF2, 1, 1)
     obj = report_to_json(report)

@@ -19,6 +19,7 @@ from conftest import (
     golden_matrix,
     random_matrix,
     recorded_corrections,
+    scaled,
 )
 from glndep import errors, rational_solver
 from glndep.certificate import TAG_INVERTIBLE, TAG_ZERO, verify_witness, witness_from_matrices, witness_to_json
@@ -317,7 +318,7 @@ def _det_scan(conditions):
     n = conditions[0][0].rows
     for v in range(1, n * len(conditions) + 2):
         x = Fraction(v)
-        if all(det(base + direction.scale(x)) != 0 for base, direction in conditions):
+        if all(det(base + scaled(direction, x)) != 0 for base, direction in conditions):
             return x
     return errors.ExhaustedBoundError
 
@@ -349,7 +350,7 @@ def _conditions(draw):
             base = Matrix(QQ, tuple(tuple(ks[r] if r == c else Fraction(0) for c in range(n)) for r in range(n)))
             direction = ident
         elif kind == "shifted":
-            base = direction.scale(Fraction(-draw(st.integers(1, 3))))
+            base = scaled(direction, Fraction(-draw(st.integers(1, 3))))
         else:
             base = square()
             if kind == "singular":
