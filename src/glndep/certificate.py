@@ -135,7 +135,7 @@ def witness_from_json(obj) -> Witness:
                 raise errors.ParseError(f"witness entry {idx} has the wrong field or shape")
             invertible[idx] = g
         elif tag != TAG_ZERO:
-            raise errors.ParseError(f"witness entry {idx} has unknown tag {tag!r}")
+            raise errors.ParseError(f"witness entry {idx} has unknown tag {errors._excerpt(tag)}")
         tags.append(tag)
     if not invertible:
         raise VerificationError("all-zero")
@@ -148,9 +148,8 @@ def instance_to_json(field: Field, matrices) -> dict:
     return {"field": field_to_json(field), "matrices": [matrix_to_json(M) for M in matrices]}
 
 
-def _check_instance(matrices: list[Matrix]) -> tuple[Field, int, int]:
-    """(field, n, m) of a solvable instance: k >= m+1 matrices of one shape n x m
-    over one field."""
+def _one_field_and_shape(matrices: list[Matrix]) -> tuple[Field, int, int]:
+    """(field, n, m) of at least one matrix, all of one shape n x m over one field."""
     if not matrices:
         raise errors.ShapeError("need at least one matrix")
     field = matrices[0].field
@@ -160,6 +159,13 @@ def _check_instance(matrices: list[Matrix]) -> tuple[Field, int, int]:
             raise errors.FieldMismatchError("matrices over mixed fields")
         if M.rows != n or M.cols != m:
             raise errors.ShapeError("matrices of mixed shapes")
+    return field, n, m
+
+
+def _check_instance(matrices: list[Matrix]) -> tuple[Field, int, int]:
+    """(field, n, m) of a solvable instance: k >= m+1 matrices of one shape n x m
+    over one field."""
+    field, n, m = _one_field_and_shape(matrices)
     if len(matrices) < m + 1:
         raise errors.TooFewMatricesError(f"need at least {m + 1} matrices of width {m}, got {len(matrices)}")
     return field, n, m

@@ -1,5 +1,7 @@
 """Exception types, checks and the immutable record base shared across the package."""
 
+import reprlib
+
 
 class Error(Exception):
     """Base class for all package-specific errors."""
@@ -59,10 +61,23 @@ def check(ok: bool, what: str) -> None:
         raise PostconditionError(what)
 
 
+# Nested containers are elided past the third level and long strings, ints
+# and containers are shortened; _excerpt cuts whatever is left to 160 characters.
+_REPR = reprlib.Repr()
+_REPR.maxlevel = 3
+_EXCERPT_CHARS = 160
+
+
+def _excerpt(value) -> str:
+    """A repr of an input value short enough to quote in an error message."""
+    text = _REPR.repr(value)
+    return text if len(text) <= _EXCERPT_CHARS else text[: _EXCERPT_CHARS - 3] + "..."
+
+
 def _check_object(obj, what: str, keys) -> None:
     """Raise ParseError unless obj is a JSON object holding every key; what names it."""
     if not isinstance(obj, dict):
-        raise ParseError(f"{what} must be an object, got {obj!r}")
+        raise ParseError(f"{what} must be an object, got {_excerpt(obj)}")
     for key in keys:
         if key not in obj:
             raise ParseError(f"{what} is missing {key!r}")
@@ -71,7 +86,7 @@ def _check_object(obj, what: str, keys) -> None:
 def _check_positive_int(value, what: str) -> None:
     """Raise ParseError unless value is an int >= 1 (a bool or a float is not); what names it."""
     if type(value) is not int or value < 1:
-        raise ParseError(f"{what} must be a positive int, got {value!r}")
+        raise ParseError(f"{what} must be a positive int, got {_excerpt(value)}")
 
 
 class _Record:

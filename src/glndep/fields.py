@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 
 from . import errors
 
@@ -69,7 +70,7 @@ class PrimeField(Field):
         if type(p) is not int:
             raise TypeError(f"prime modulus must be an int, got {type(p).__name__}")
         if p >= MAX_PRIME:
-            raise ValueError(f"prime modulus must be < 2^31, got {p}")
+            raise ValueError(f"prime modulus must be < 2^31, got {errors._excerpt(p)}")
         if not is_prime(p):
             raise errors.NotPrimeError(f"{p} is not prime")
         self.p = p
@@ -124,13 +125,13 @@ class PrimeField(Field):
 
     def element_from_json(self, obj):
         if not isinstance(obj, str):
-            raise errors.ParseError(f"GF({self.p}) element must be a decimal string, got {obj!r}")
+            raise errors.ParseError(f"GF({self.p}) element must be a decimal string, got {errors._excerpt(obj)}")
         try:
             a = int(obj)
         except ValueError:
-            raise errors.ParseError(f"bad GF({self.p}) element string: {obj!r}") from None
+            raise errors.ParseError(f"bad GF({self.p}) element string: {errors._excerpt(obj)}") from None
         if not 0 <= a < self.p:
-            raise errors.ParseError(f"non-canonical GF({self.p}) element: {obj!r}")
+            raise errors.ParseError(f"non-canonical GF({self.p}) element: {errors._excerpt(obj)}")
         return a
 
 
@@ -148,10 +149,10 @@ class ExtensionField(Field):
     def __init__(self, p: int, k: int, modulus=None):
         base = PrimeField(p)
         if type(k) is not int or k < 2:
-            raise ValueError(f"extension degree must be an int >= 2, got {k}")
+            raise ValueError(f"extension degree must be an int >= 2, got {errors._excerpt(k)}")
         # p >= 2, so k > 64 alone puts p^k over the cap, without computing it.
         if k > 64 or p ** k > _MAX_ORDER:
-            raise errors.TooLargeError(f"GF({p}^{k}) is larger than the cap of 2^64 elements")
+            raise errors.TooLargeError(f"GF({p}^{errors._excerpt(k)}) is larger than the cap of 2^64 elements")
         if modulus is None:
             modulus = find_irreducible(base, k)
         else:
@@ -230,11 +231,11 @@ class ExtensionField(Field):
             raise ZeroDivisionError(f"inverse of zero in {self!r}")
         base = self.base
         r0, s0 = list(self.modulus), []
-        r1, s1 = poly_trim(base, list(a)), [1]
+        r1, s1 = _poly_trim(base, a), [1]
         while r1:
-            q, r = poly_divmod(base, r0, r1)
+            q, r = _poly_divmod(base, r0, r1)
             r0, r1 = r1, r
-            s0, s1 = s1, poly_sub(base, s0, poly_mul(base, q, s1))
+            s0, s1 = s1, _poly_sub(base, s0, _poly_mul(base, q, s1))
         errors.check(len(r0) == 1, "gcd with the irreducible modulus has degree > 0")
         c = base.inv(r0[0])
         out = [base.mul(c, cf) for cf in s0]
@@ -262,17 +263,17 @@ class ExtensionField(Field):
 
     def element_from_json(self, obj):
         if not isinstance(obj, list) or len(obj) != self.k:
-            raise errors.ParseError(f"{self!r} element must be a list of {self.k} strings, got {obj!r}")
+            raise errors.ParseError(f"{self!r} element must be a list of {self.k} strings, got {errors._excerpt(obj)}")
         coeffs = []
         for c in obj:
             if not isinstance(c, str):
-                raise errors.ParseError(f"bad {self!r} coefficient: {c!r}")
+                raise errors.ParseError(f"bad {self!r} coefficient: {errors._excerpt(c)}")
             try:
                 v = int(c)
             except ValueError:
-                raise errors.ParseError(f"bad {self!r} coefficient string: {c!r}") from None
+                raise errors.ParseError(f"bad {self!r} coefficient string: {errors._excerpt(c)}") from None
             if not 0 <= v < self.p:
-                raise errors.ParseError(f"non-canonical {self!r} coefficient: {c!r}")
+                raise errors.ParseError(f"non-canonical {self!r} coefficient: {errors._excerpt(c)}")
             coeffs.append(v)
         return tuple(coeffs)
 
@@ -389,11 +390,11 @@ class RationalField(Field):
 
     def element_from_json(self, obj):
         if not isinstance(obj, str):
-            raise errors.ParseError(f"rational element must be a string, got {obj!r}")
+            raise errors.ParseError(f"rational element must be a string, got {errors._excerpt(obj)}")
         try:
             return Fraction(obj)
         except (ValueError, ZeroDivisionError):
-            raise errors.ParseError(f"bad rational element string: {obj!r}") from None
+            raise errors.ParseError(f"bad rational element string: {errors._excerpt(obj)}") from None
 
 
 def parse_field(text: str) -> Field:
@@ -407,8 +408,8 @@ def parse_field(text: str) -> Field:
         if parts[0] == "rational" and len(parts) == 1:
             return RationalField()
     except ValueError as exc:
-        raise errors.ParseError(f"bad field selector {text!r}: {exc}") from None
-    raise errors.ParseError(f"bad field selector {text!r}")
+        raise errors.ParseError(f"bad field selector {errors._excerpt(text)}: {exc}") from None
+    raise errors.ParseError(f"bad field selector {errors._excerpt(text)}")
 
 
 def field_from_order(q: int) -> Field:
@@ -447,7 +448,7 @@ def field_to_json(field: Field) -> dict:
 
 def field_from_json(obj) -> Field:
     if not isinstance(obj, dict) or "kind" not in obj:
-        raise errors.ParseError(f"field descriptor must be an object with a 'kind': {obj!r}")
+        raise errors.ParseError(f"field descriptor must be an object with a 'kind': {errors._excerpt(obj)}")
     kind = obj["kind"]
     try:
         # The constructors reject a p or k that is not an int (a bool too).
@@ -456,7 +457,7 @@ def field_from_json(obj) -> Field:
         if kind == "ext":
             modulus = obj.get("modulus")
             if not isinstance(modulus, list):
-                raise errors.ParseError(f"extension field needs a 'modulus' list: {obj!r}")
+                raise errors.ParseError(f"extension field needs a 'modulus' list: {errors._excerpt(obj)}")
             base = PrimeField(obj["p"])
             return ExtensionField(base.p, obj["k"], [base.element_from_json(c) for c in modulus])
         if kind == "rational":
@@ -464,38 +465,28 @@ def field_from_json(obj) -> Field:
     except KeyError as exc:
         raise errors.ParseError(f"field descriptor missing {exc}") from None
     except (TypeError, ValueError, errors.NotPrimeError) as exc:
-        raise errors.ParseError(f"bad field descriptor {obj!r}: {exc}") from None
-    raise errors.ParseError(f"unknown field kind {kind!r}")
+        raise errors.ParseError(f"bad field descriptor {errors._excerpt(obj)}: {exc}") from None
+    raise errors.ParseError(f"unknown field kind {errors._excerpt(kind)}")
 
 
 # ---------------------------------------------------------------------------
 # Polynomials over a finite field: coefficient lists, lowest degree first.
 # The zero polynomial is the empty list.
 
-def poly_trim(field: Field, coeffs) -> list:
+def _poly_trim(field: Field, coeffs) -> list:
     cs = list(coeffs)
     while cs and cs[-1] == field.zero:
         cs.pop()
     return cs
 
 
-def poly_add(field: Field, a, b) -> list:
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else field.zero
-        y = b[i] if i < len(b) else field.zero
-        out.append(field.add(x, y))
-    return poly_trim(field, out)
+def _poly_sub(field: Field, a, b) -> list:
+    return _poly_trim(field, [field.sub(x, y) for x, y in zip_longest(a, b, fillvalue=field.zero)])
 
 
-def poly_sub(field: Field, a, b) -> list:
-    return poly_add(field, a, [field.neg(c) for c in b])
-
-
-def poly_mul(field: Field, a, b) -> list:
-    a = poly_trim(field, a)
-    b = poly_trim(field, b)
+def _poly_mul(field: Field, a, b) -> list:
+    a = _poly_trim(field, a)
+    b = _poly_trim(field, b)
     if not a or not b:
         return []
     out = [field.zero] * (len(a) + len(b) - 1)
@@ -504,14 +495,14 @@ def poly_mul(field: Field, a, b) -> list:
             continue
         for j, y in enumerate(b):
             out[i + j] = field.add(out[i + j], field.mul(x, y))
-    return poly_trim(field, out)
+    return _poly_trim(field, out)
 
 
-def poly_divmod(field: Field, a, b) -> tuple[list, list]:
-    b = poly_trim(field, b)
+def _poly_divmod(field: Field, a, b) -> tuple[list, list]:
+    b = _poly_trim(field, b)
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    rem = poly_trim(field, a)
+    rem = _poly_trim(field, a)
     if len(rem) < len(b):
         return [], rem
     # A monic divisor (every Ben-Or reduction) needs no inverse, which over
@@ -526,11 +517,11 @@ def poly_divmod(field: Field, a, b) -> tuple[list, list]:
         quot[shift] = factor
         for i, bc in enumerate(b):
             rem[shift + i] = field.sub(rem[shift + i], field.mul(factor, bc))
-    return poly_trim(field, quot), poly_trim(field, rem)
+    return _poly_trim(field, quot), _poly_trim(field, rem)
 
 
-def poly_mod(field: Field, a, b) -> list:
-    return poly_divmod(field, a, b)[1]
+def _poly_mod(field: Field, a, b) -> list:
+    return _poly_divmod(field, a, b)[1]
 
 
 def _poly_powmod(field: Field, a, e: int, f) -> list:
@@ -538,28 +529,26 @@ def _poly_powmod(field: Field, a, e: int, f) -> list:
     result = [field.one]
     while e:
         if e & 1:
-            result = poly_mod(field, poly_mul(field, result, a), f)
+            result = _poly_mod(field, _poly_mul(field, result, a), f)
         e >>= 1
         if e:
-            a = poly_mod(field, poly_mul(field, a, a), f)
+            a = _poly_mod(field, _poly_mul(field, a, a), f)
     return result
 
 
 def _poly_gcd(field: Field, a, b) -> list:
     """A gcd of trimmed a and b, up to a unit factor (Euclid's algorithm)."""
     while b:
-        a, b = b, poly_mod(field, a, b)
+        a, b = b, _poly_mod(field, a, b)
     return a
 
 
-def monic_polynomials(field: Field, degree: int):
-    """All monic polynomials of the given degree, in counting order.
+def _monic_polynomials(field: Field, degree: int):
+    """All monic polynomials of the given degree over a finite field, in counting order.
 
     Lower coefficients vary fastest, so the order agrees with reading the
     non-leading coefficient vector (highest degree first) as a base-q number.
     """
-    if not field.is_finite:
-        raise errors.InfiniteFieldError("polynomial enumeration needs a finite field")
     q = field.cardinality
     for v in range(q ** degree):
         coeffs = []
@@ -576,7 +565,7 @@ def is_irreducible(field: Field, coeffs) -> bool:
     irreducible iff gcd(x^(q^i) - x, f) = 1 for every i = 1..d/2, since
     x^(q^i) - x is the product of all monic irreducibles of degree dividing i.
     """
-    cs = poly_trim(field, coeffs)
+    cs = _poly_trim(field, coeffs)
     if len(cs) < 2 or cs[-1] != field.one:
         raise ValueError("irreducibility test needs a monic polynomial of degree >= 1")
     deg = len(cs) - 1
@@ -585,7 +574,7 @@ def is_irreducible(field: Field, coeffs) -> bool:
     h = x = [field.zero, field.one]
     for _ in range(deg // 2):
         h = _poly_powmod(field, h, field.cardinality, cs)
-        if len(_poly_gcd(field, poly_sub(field, h, x), cs)) > 1:
+        if len(_poly_gcd(field, _poly_sub(field, h, x), cs)) > 1:
             return False
     return True
 
@@ -596,6 +585,6 @@ def find_irreducible(field: Field, degree: int) -> tuple:
         raise errors.InfiniteFieldError("irreducible search needs a finite field")
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
-    found = next((tuple(c) for c in monic_polynomials(field, degree) if is_irreducible(field, c)), None)
+    found = next((tuple(c) for c in _monic_polynomials(field, degree) if is_irreducible(field, c)), None)
     errors.check(found is not None, f"no irreducible of degree {degree} over {field!r}; the search is buggy")
     return found

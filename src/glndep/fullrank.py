@@ -1,10 +1,11 @@
 """Full-rank matrix subspaces: n-dimensional spaces of n x n matrices over a
 finite field in which every nonzero member is invertible.
 
-The construction is the regular representation of the degree-n extension field:
-take the companion matrix C of the first irreducible monic polynomial of degree
-n (in counting order) and span {I, C, C^2, ..., C^(n-1)}.  A nonzero combination
-is the image of a nonzero field element, hence invertible.  check_fullrank_basis
+The construction is the regular representation of the degree-n extension field
+GF(q)[x]/(f), f the first irreducible monic polynomial of degree n (in counting
+order): B_t is multiplication by x^t in the basis 1, x, ..., x^(n-1), so column
+j of B_t holds the coefficients of x^(t+j) mod f.  A nonzero combination is
+the image of a nonzero field element, hence invertible.  check_fullrank_basis
 re-verifies that claim exhaustively instead of trusting it.
 """
 
@@ -14,42 +15,31 @@ from functools import lru_cache
 from itertools import product
 
 from . import errors
-from .fields import Field, field_from_json, field_to_json, find_irreducible
+from .fields import Field, _poly_mod, field_from_json, field_to_json, find_irreducible
 from .matrix import Matrix, _add_scaled, _trusted, det, matrix_from_json, matrix_to_json
 
 
 class FullRankBasis(errors._Record):
-    """The basis I, C, ..., C^(n-1) of H for (field, n), C the companion matrix of modulus."""
+    """The basis B_0, ..., B_(n-1) of H for (field, n): B_t multiplies by x^t
+    modulo modulus, so B_t[r][j] is coefficient r of x^(t+j) mod modulus."""
 
     __slots__ = ("field", "n", "modulus", "basis")
-
-
-def companion_matrix(field: Field, modulus) -> Matrix:
-    """Companion matrix of a monic polynomial: 1s on the subdiagonal, negated
-    coefficients (constant term first) down the last column."""
-    modulus = list(modulus)
-    n = len(modulus) - 1
-    if n < 1 or modulus[-1] != field.one:
-        raise ValueError("companion matrix needs a monic polynomial of degree >= 1")
-    z, o = field.zero, field.one
-    rows = []
-    for i in range(n):
-        row = [z] * n
-        if i > 0:
-            row[i - 1] = o
-        row[n - 1] = field.neg(modulus[i])
-        rows.append(tuple(row))
-    return _trusted(field, tuple(rows))
 
 
 @lru_cache(maxsize=None)
 def _build(field: Field, n: int) -> FullRankBasis:
     modulus = find_irreducible(field, n)
-    c = companion_matrix(field, modulus)
-    basis = [Matrix.identity(field, n)]
-    for _ in range(n - 1):
-        basis.append(basis[-1] * c)
-    return FullRankBasis(field, n, modulus, tuple(basis))
+    zero = field.zero
+    # residues[i] holds the n coefficients of x^i mod modulus, for i < 2n - 1.
+    residues = []
+    for i in range(2 * n - 1):
+        coeffs = _poly_mod(field, [zero] * i + [field.one], modulus)
+        residues.append(coeffs + [zero] * (n - len(coeffs)))
+    basis = tuple(
+        _trusted(field, tuple(tuple(residues[t + j][r] for j in range(n)) for r in range(n)))
+        for t in range(n)
+    )
+    return FullRankBasis(field, n, modulus, basis)
 
 
 def build_fullrank_basis(field: Field, n: int) -> FullRankBasis:

@@ -12,7 +12,7 @@ from functools import lru_cache
 from itertools import product
 
 from . import errors
-from .certificate import Witness, verify_witness, witness_from_matrices
+from .certificate import Witness, _one_field_and_shape, verify_witness, witness_from_matrices
 from .fields import Field, field_to_json
 from .matrix import Matrix, _trusted, det
 from .finite_solver import solve_finite
@@ -104,17 +104,10 @@ def brute_force_witness(matrices, cap: int = DEFAULT_CAP) -> Witness | None:
     The pool is ordered zero first, then the GL enumeration (see _first_witness).
     """
     matrices = list(matrices)
-    if not matrices:
-        raise errors.ShapeError("need at least one matrix")
-    field = matrices[0].field
-    if not field.is_finite:
+    # An infinite first field is refused before the fields and shapes are compared.
+    if matrices and not matrices[0].field.is_finite:
         raise errors.InfiniteFieldError("the brute-force oracle needs a finite field")
-    n, m = matrices[0].rows, matrices[0].cols
-    for M in matrices:
-        if M.field != field:
-            raise errors.FieldMismatchError("matrices over mixed fields")
-        if M.rows != n or M.cols != m:
-            raise errors.ShapeError("matrices of mixed shapes")
+    field, n, _ = _one_field_and_shape(matrices)
     pool = _pool(field, n, len(matrices), cap)
     return _first_witness(field, pool, [_products(pool, M) for M in matrices])
 

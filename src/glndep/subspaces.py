@@ -99,7 +99,7 @@ class SubspaceWitness(errors._Record):
             raise ValueError("witness needs one flag per subspace and at least one subspace")
         for flag in self.flags:
             if flag not in (FLAG_FULL, FLAG_ZERO):
-                raise ValueError(f"unknown subspace witness flag {flag!r}")
+                raise ValueError(f"unknown subspace witness flag {errors._excerpt(flag)}")
         for group in self.vectors:
             if len(group) != self.n:
                 raise errors.ShapeError(f"each subspace needs {self.n} vectors")

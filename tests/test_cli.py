@@ -3,6 +3,8 @@
 import json
 import time
 
+import pytest
+
 from glndep.certificate import instance_to_json, witness_from_json
 from glndep.cli import main
 from glndep.fields import PrimeField, RationalField
@@ -328,13 +330,21 @@ def test_cli_import_adds_no_heavy_modules():
 
 
 def test_console_entry_point():
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    import glndep
+
+    # The child imports the glndep that this process imported, installed or not.
+    src = str(Path(glndep.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "glndep.cli", "check-theorem", "--q", "2", "--n", "1", "--m", "1"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "all_have_witness=True" in proc.stdout
@@ -392,3 +402,27 @@ def test_oracle_on_a_tall_instance_is_refused_quickly(tmp_path, capsys):
     assert main(["oracle", "--input", str(inst)]) == 2
     assert time.perf_counter() - start < 1.0
     assert "(1 + |GL(1000, 2)|)^20 candidate tuples exceed the cap of 10000000" in capsys.readouterr().err
+
+
+def _one_entry_instance(entry):
+    matrix = {"field": {"kind": "prime", "p": 2}, "rows": 1, "cols": 1, "entries": [[entry]]}
+    return {"field": {"kind": "prime", "p": 2}, "matrices": [matrix]}
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [
+        {"field": [0] * 500_000, "matrices": []},
+        _one_entry_instance("1" * 1_000_000),
+        _one_entry_instance([0] * 300_000),
+    ],
+    ids=["long-field-list", "long-element-string", "long-list-entry"],
+)
+def test_oversized_input_values_are_quoted_briefly(tmp_path, capsys, instance):
+    # Each message used to quote the whole value: 0.9 to 1.5 MB on stderr.
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(instance))
+    assert main(["oracle", "--input", str(inst)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ")
+    assert len(err.encode()) <= 1024

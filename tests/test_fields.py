@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from glndep import errors
 from glndep.fields import (
+    _monic_polynomials,
+    _poly_mod,
     ExtensionField,
     PrimeField,
     RationalField,
@@ -18,9 +20,7 @@ from glndep.fields import (
     field_to_json,
     find_irreducible,
     is_irreducible,
-    monic_polynomials,
     parse_field,
-    poly_mod,
 )
 
 GF2 = PrimeField(2)
@@ -142,14 +142,14 @@ def test_irreducibility_over_qq_needs_a_finite_field():
 def _trial_division_irreducible(field, coeffs):
     """Reference test: no monic polynomial of degree 1..deg/2 divides f."""
     deg = len(coeffs) - 1
-    return all(poly_mod(field, coeffs, g) for e in range(1, deg // 2 + 1) for g in monic_polynomials(field, e))
+    return all(_poly_mod(field, coeffs, g) for e in range(1, deg // 2 + 1) for g in _monic_polynomials(field, e))
 
 
 @pytest.mark.parametrize("field,max_degree", [(GF2, 8), (GF3, 5), (GF4, 3)])
 def test_irreducibility_agrees_with_trial_division(field, max_degree):
     checked = 0
     for degree in range(1, max_degree + 1):
-        for f in monic_polynomials(field, degree):
+        for f in _monic_polynomials(field, degree):
             assert is_irreducible(field, f) == _trial_division_irreducible(field, f), f
             checked += 1
     assert checked == sum(field.cardinality ** d for d in range(1, max_degree + 1))

@@ -1,5 +1,7 @@
-"""Full-rank subspace construction: companion-matrix powers of an irreducible."""
+"""Full-rank subspace construction: multiplication by x^t in GF(q)[x]/(f), f irreducible."""
 
+import hashlib
+import json
 import time
 from itertools import product
 
@@ -7,12 +9,11 @@ import pytest
 
 from conftest import scaled
 from glndep import errors
-from glndep.fields import ExtensionField, PrimeField, RationalField
+from glndep.fields import ExtensionField, PrimeField, RationalField, parse_field
 from glndep.fullrank import (
     FullRankBasis,
     build_fullrank_basis,
     check_fullrank_basis,
-    companion_matrix,
     fullrank_from_json,
     fullrank_to_json,
 )
@@ -29,6 +30,36 @@ def test_gf2_n2_basis():
     assert fb.basis[0] == Matrix.identity(GF2, 2)
     assert fb.basis[1] == Matrix.from_rows(GF2, [[0, 1], [1, 1]])
     assert check_fullrank_basis(fb)
+
+
+# sha256 of fullrank_to_json's sorted-key JSON, computed when H was still
+# spanned by the powers of the companion matrix of its modulus.
+H_SHA256 = {
+    ("prime:2", 1): "e5e32f9eac0f9a0ee2eae6f87e4426d32c792c239c684476543cd4ac6f9b4ce5",
+    ("prime:2", 2): "7857f4ff7d5400c3d86b06352968ddd3f7f7997cc3ce88c8a489ebb32fd69752",
+    ("prime:2", 3): "32a6597146cb1d37b608debef3951b863d68f575d257ef97a180a16c14465590",
+    ("prime:2", 4): "91f6191659ff811197f5bb9a70fa1bcd2024dc590e44dd832cb6a9ec10136625",
+    ("prime:2", 5): "62f0a74980a88fd4dec78bd94bc14d743ca0730e4fe861638190e82c737b929c",
+    ("prime:2", 6): "4cc6a87dd30132e398b3e932172992de1716612ffb867eb6daba4212de4d0e60",
+    ("prime:3", 1): "4fb5bdd1bf34f940c54d6db18be00ad2488f3bdcfa4052f82623f3165e9c3cb6",
+    ("prime:3", 2): "81cee7921493c88363fd2dcd1d43f176e4dbcf9dc0b52623909138cef9e94f38",
+    ("prime:3", 3): "1f96a6a9af3084fae984c1acb916de3b70b3d6920dd44ba23ed8304b6a1f5f17",
+    ("prime:3", 4): "1142fe9737b16289147db09ed07b37e11e7bcdc7cd514f11826276eea7a9569b",
+    ("prime:7", 4): "dca872491b5749f4bd392e5f5fd264701d039b86caec52ce57c7b62f14f716ad",
+    ("prime:31", 6): "b352ae6b013475cc8f3b595ded36090a98d5dfdaa9081c7305df2fb8e315590c",
+    ("ext:2:4", 2): "f7df5795689c341036c134f8a3dc85bf1d43e8be6958a6efeb0edec62f5e3e73",
+    ("ext:2:4", 3): "ff3ab2985a724eefe6c5e7b19039dcad6217d546ab563e19e1d610a45df6e3c0",
+    ("ext:2:4", 4): "74ac79008f5369b6cd7d897b86e7da1666a592ceb6e32db0a43532bb67defa27",
+    ("ext:3:2", 3): "b08dd47ef8ea0a30d223deda2db42deff95776aa32a2be1943d2d7de5891e57d",
+    ("ext:2:3", 5): "1a4fe82071f48445de8f5e67637f2a76d6a400f48cf28279e1f6ad34129d86ec",
+}
+
+
+@pytest.mark.parametrize("selector, n", list(H_SHA256))
+def test_fullrank_basis_bytes_are_pinned(selector, n):
+    basis = fullrank_to_json(build_fullrank_basis(parse_field(selector), n))
+    digest = hashlib.sha256(json.dumps(basis, sort_keys=True).encode()).hexdigest()
+    assert digest == H_SHA256[(selector, n)]
 
 
 def test_gf2_n2_all_nonzero_combos_by_hand():
@@ -102,8 +133,10 @@ def test_span_closed_under_multiplication(field, n):
 
 @pytest.mark.parametrize("field,n", [(GF2, 2), (GF2, 3), (GF3, 2), (GF5, 2)])
 def test_companion_satisfies_its_modulus(field, n):
+    # basis[1] is multiplication by x, the companion matrix of the modulus f,
+    # so f(basis[1]) is the zero matrix.
     fb = build_fullrank_basis(field, n)
-    c = companion_matrix(field, fb.modulus)
+    c = fb.basis[1]
     power = Matrix.identity(field, n)
     total = Matrix.zero(field, n, n)
     for coeff in fb.modulus:

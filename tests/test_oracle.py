@@ -8,7 +8,7 @@ import pytest
 
 from glndep import errors
 from glndep.certificate import verify_witness, witness_from_matrices
-from glndep.fields import ExtensionField, PrimeField
+from glndep.fields import ExtensionField, PrimeField, RationalField
 from glndep.matrix import Matrix, det
 from glndep.oracle import (
     _gl_matrices,
@@ -123,6 +123,19 @@ def test_brute_force_mixed_inputs_raise_the_solvers_errors():
         brute_force_witness([Matrix.identity(GF3, 1), Matrix.identity(PrimeField(5), 1)])
     with pytest.raises(errors.ShapeError):
         brute_force_witness([Matrix.identity(GF3, 1), Matrix.identity(GF3, 2)])
+
+
+def test_brute_force_input_errors_come_in_a_fixed_order():
+    # empty, then an infinite field, then mixed fields, then mixed shapes
+    qq = RationalField()
+    with pytest.raises(errors.ShapeError, match="at least one matrix"):
+        brute_force_witness([])
+    with pytest.raises(errors.InfiniteFieldError):
+        brute_force_witness([Matrix.identity(qq, 1), Matrix.identity(GF3, 2)])
+    with pytest.raises(errors.FieldMismatchError):
+        brute_force_witness([Matrix.identity(GF3, 1), Matrix.identity(PrimeField(5), 2)])
+    with pytest.raises(errors.ShapeError, match="mixed shapes"):
+        brute_force_witness([Matrix.identity(GF3, 1), Matrix.identity(GF3, 2), Matrix.identity(qq, 1)])
 
 
 def test_brute_force_cap():
