@@ -57,7 +57,7 @@ class Witness(errors._Record):
 def witness_from_matrices(field: Field, gs) -> Witness:
     """Build a witness from multiplier matrices, deriving the tags."""
     gs = tuple(gs)
-    tags = tuple(TAG_ZERO if g.is_zero() else TAG_INVERTIBLE for g in gs)
+    tags = tuple([TAG_ZERO if g.is_zero() else TAG_INVERTIBLE for g in gs])  # from a list: see the note in matrix
     return Witness(field, gs[0].rows, gs, tags)
 
 

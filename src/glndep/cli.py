@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import partial
 
 from . import errors
 from .certificate import (
@@ -174,6 +175,11 @@ def _cmd_check_theorem(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
+def _usage_error(parser: argparse.ArgumentParser, message: str):
+    """parser.error with the message cut like glndep's own: argparse quotes a bad value whole."""
+    argparse.ArgumentParser.error(parser, errors._cut(message))
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="glndep", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -219,6 +225,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output")
     p.set_defaults(func=_cmd_check_theorem)
 
+    for p in (parser, *sub.choices.values()):
+        p.error = partial(_usage_error, p)
     return parser
 
 

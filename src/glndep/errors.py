@@ -70,7 +70,11 @@ _EXCERPT_CHARS = 160
 
 def _excerpt(value) -> str:
     """A repr of an input value short enough to quote in an error message."""
-    text = _REPR.repr(value)
+    return _cut(_REPR.repr(value))
+
+
+def _cut(text: str) -> str:
+    """text, cut to _EXCERPT_CHARS characters."""
     return text if len(text) <= _EXCERPT_CHARS else text[: _EXCERPT_CHARS - 3] + "..."
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
+from math import gcd
 
 from . import errors
 
@@ -543,14 +544,15 @@ def _poly_gcd(field: Field, a, b) -> list:
     return a
 
 
-def _monic_polynomials(field: Field, degree: int):
-    """All monic polynomials of the given degree over a finite field, in counting order.
+def _monic_polynomials(field: Field, degree: int, start: int):
+    """The monic polynomials of the given degree over a finite field, in
+    counting order, from candidate number start on.
 
     Lower coefficients vary fastest, so the order agrees with reading the
     non-leading coefficient vector (highest degree first) as a base-q number.
     """
     q = field.cardinality
-    for v in range(q ** degree):
+    for v in range(start, q ** degree):
         coeffs = []
         t = v
         for _ in range(degree):
@@ -585,6 +587,17 @@ def find_irreducible(field: Field, degree: int) -> tuple:
         raise errors.InfiniteFieldError("irreducible search needs a finite field")
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
-    found = next((tuple(c) for c in _monic_polynomials(field, degree) if is_irreducible(field, c)), None)
+    q = field.cardinality
+    # The first q candidates are the binomials x^n + c.  By Lidl-Niederreiter,
+    # Finite Fields, Thm 3.75, one of them is irreducible only if every prime
+    # factor of n divides q - 1, and 4 divides q - 1 when 4 divides n.  The
+    # first holds just when dividing out common factors of n and q - 1 leaves 1.
+    # Otherwise the scan starts after them, at the same first irreducible.
+    rest = degree
+    while (g := gcd(rest, q - 1)) > 1:
+        rest //= g
+    binomials = rest == 1 and (degree % 4 != 0 or (q - 1) % 4 == 0)
+    candidates = _monic_polynomials(field, degree, 0 if binomials else q)
+    found = next((tuple(c) for c in candidates if is_irreducible(field, c)), None)
     errors.check(found is not None, f"no irreducible of degree {degree} over {field!r}; the search is buggy")
     return found

@@ -426,3 +426,17 @@ def test_oversized_input_values_are_quoted_briefly(tmp_path, capsys, instance):
     err = capsys.readouterr().err
     assert err.startswith("input error: ")
     assert len(err.encode()) <= 1024
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["make-h", "--field", "prime:2", "--n", "x" * 100_000], ["x" * 100_000]],
+    ids=["long-flag-value", "long-subcommand"],
+)
+def test_bad_command_line_values_are_quoted_briefly(capsys, argv):
+    # argparse used to quote the whole value: 100,122 and 100,234 bytes on stderr.
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "invalid" in err
+    assert "Traceback" not in err
+    assert len(err.encode()) < 1024

@@ -131,6 +131,32 @@ def test_is_irreducible_requires_monic():
         is_irreducible(GF3, [1, 2])  # leading coefficient 2
 
 
+_PRIME_POWERS_TO_32 = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32)
+
+
+def test_skipping_the_binomials_keeps_the_first_irreducible():
+    # find_irreducible starts after the q binomials x^n + c when none of them
+    # can be irreducible; the plain scan from x^n must find the same polynomial.
+    checked = 0
+    for q in _PRIME_POWERS_TO_32:
+        field = field_from_order(q)
+        for n in range(1, 7):
+            if q ** n > 3 * 10 ** 5:
+                continue
+            plain = next(tuple(c) for c in _monic_polynomials(field, n, 0) if is_irreducible(field, c))
+            assert find_irreducible(field, n) == plain, (q, n)
+            checked += 1
+    assert checked == 81
+
+
+def test_a_search_past_the_binomials_is_quick():
+    # No x^3 + c is irreducible over GF(65537), as 3 does not divide 65536;
+    # scanning all 65537 of them took 7.5 s.
+    start = time.perf_counter()
+    assert find_irreducible(PrimeField(65537), 3) == (4, 1, 0, 1)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_irreducibility_over_qq_needs_a_finite_field():
     assert is_irreducible(QQ, [Fraction(3), Fraction(1)])  # degree 1 needs no search
     with pytest.raises(errors.InfiniteFieldError):
@@ -142,14 +168,14 @@ def test_irreducibility_over_qq_needs_a_finite_field():
 def _trial_division_irreducible(field, coeffs):
     """Reference test: no monic polynomial of degree 1..deg/2 divides f."""
     deg = len(coeffs) - 1
-    return all(_poly_mod(field, coeffs, g) for e in range(1, deg // 2 + 1) for g in _monic_polynomials(field, e))
+    return all(_poly_mod(field, coeffs, g) for e in range(1, deg // 2 + 1) for g in _monic_polynomials(field, e, 0))
 
 
 @pytest.mark.parametrize("field,max_degree", [(GF2, 8), (GF3, 5), (GF4, 3)])
 def test_irreducibility_agrees_with_trial_division(field, max_degree):
     checked = 0
     for degree in range(1, max_degree + 1):
-        for f in _monic_polynomials(field, degree):
+        for f in _monic_polynomials(field, degree, 0):
             assert is_irreducible(field, f) == _trial_division_irreducible(field, f), f
             checked += 1
     assert checked == sum(field.cardinality ** d for d in range(1, max_degree + 1))
