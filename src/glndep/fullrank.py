@@ -6,7 +6,12 @@ GF(q)[x]/(f), f the first irreducible monic polynomial of degree n (in counting
 order): B_t is multiplication by x^t in the basis 1, x, ..., x^(n-1), so column
 j of B_t holds the coefficients of x^(t+j) mod f.  A nonzero combination is
 the image of a nonzero field element, hence invertible.  check_fullrank_basis
-re-verifies that claim exhaustively instead of trusting it.
+re-verifies that claim exhaustively instead of trusting it, summing the
+basis it is given term by term, since a basis read from JSON need not be H.
+
+H acts through one routine, _block_columns: x^t M mod f for t < n.  B_t is
+its image of the identity, and finite_solver builds its block system and its
+multipliers with it.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from functools import lru_cache
 from itertools import product
 
 from . import errors
-from .fields import Field, _poly_mod, field_from_json, field_to_json, find_irreducible
+from .fields import Field, field_from_json, field_to_json, find_irreducible
 from .matrix import Matrix, _add_scaled, _trusted, det, matrix_from_json, matrix_to_json
 
 
@@ -26,18 +31,40 @@ class FullRankBasis(errors._Record):
     __slots__ = ("field", "n", "modulus", "basis")
 
 
+def _block_columns(field: Field, modulus, head) -> list[tuple]:
+    """x^t M mod f for each matrix M of head and t < n, flattened row-major:
+    the products B_t M, M-major.
+
+    Column j of M is read as the polynomial sum_r M[r][j] x^r.  x^0 M is M.
+    For the next t the rows move down one, and the row shifted out, the
+    coefficients of x^n, comes back in as x^n == -sum_r f_r x^r: row r gains
+    -f_r times it.  Exact field arithmetic, so the entries are those of the
+    products B_t M.  Tuples are built from lists (see the note in matrix).
+    """
+    add, mul, z = field.add, field.mul, field.zero
+    c0, *cs = [field.neg(c) for c in modulus[:-1]]  # x^n == c0 + c1 x + ... mod f
+    columns = []
+    for M in head:
+        rows = M.entries
+        columns.append(tuple([e for row in rows for e in row]))
+        for _ in range(len(cs)):
+            top = rows[-1]
+            shifted = [tuple([mul(c0, s) for s in top])]
+            for c, row in zip(cs, rows):
+                if c != z:
+                    row = tuple([add(e, mul(c, s)) if s != z else e for e, s in zip(row, top)])
+                shifted.append(row)
+            rows = shifted
+            columns.append(tuple([e for row in rows for e in row]))
+    return columns
+
+
 @lru_cache(maxsize=None)
 def _build(field: Field, n: int) -> FullRankBasis:
     modulus = find_irreducible(field, n)
-    zero = field.zero
-    # residues[i] holds the n coefficients of x^i mod modulus, for i < 2n - 1.
-    residues = []
-    for i in range(2 * n - 1):
-        coeffs = _poly_mod(field, [zero] * i + [field.one], modulus)
-        residues.append(coeffs + [zero] * (n - len(coeffs)))
     basis = tuple(
-        _trusted(field, tuple(tuple(residues[t + j][r] for j in range(n)) for r in range(n)))
-        for t in range(n)
+        _trusted(field, tuple([flat[r : r + n] for r in range(0, n * n, n)]))
+        for flat in _block_columns(field, modulus, [Matrix.identity(field, n)])
     )
     return FullRankBasis(field, n, modulus, basis)
 
@@ -71,20 +98,14 @@ def check_fullrank_basis(basis: FullRankBasis) -> bool:
     elements = tuple(field.elements())
     zero = field.zero
     for coeffs in product(elements, repeat=n):
-        if any(c != zero for c in coeffs) and det(_member(basis, coeffs)) == zero:
-            return False
+        if any(c != zero for c in coeffs):
+            g = Matrix.zero(field, n, n)
+            for c, b in zip(coeffs, basis.basis):
+                if c != zero:
+                    g = _add_scaled(g, c, b)
+            if det(g) == zero:
+                return False
     return True
-
-
-def _member(basis: FullRankBasis, coeffs) -> Matrix:
-    """The member sum_t coeffs[t] * B_t of H, one n-tuple of coefficients given."""
-    field = basis.field
-    zero = field.zero
-    g = Matrix.zero(field, basis.n, basis.n)
-    for c, b in zip(coeffs, basis.basis):
-        if c != zero:
-            g = _add_scaled(g, c, b)
-    return g
 
 
 def fullrank_to_json(basis: FullRankBasis) -> dict:

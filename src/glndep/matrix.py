@@ -16,16 +16,18 @@ eliminates cleared row pairs (see _integer_row_pairs), and its multiplier
 updates a + c*b make one Fraction per entry (see _add_scaled).  Other sums
 stay on Fractions.
 
-Matrices combine in two ways only: a + c*b through _add_scaled (members of a
-full-rank subspace, correction steps, scalar scans) and sum(g_i * M_i)
-through _weighted_sum (solver post-conditions and the verifier).
+Matrices combine in two ways only: a + c*b through _add_scaled (the
+exhaustive sums of fullrank.check_fullrank_basis, correction steps, scalar
+scans) and sum(g_i * M_i) through _weighted_sum (solver post-conditions and
+the verifier).
 
-The finite-field paths that run once per solve build their tuples from lists,
+The paths that run once per solve build their tuples from lists,
 tuple([...]), not from generators or map.  CPython allocates a tuple built
 from a generator for 10 items and cuts it back; once freed, the cut-back tuple
 waits on the free list of its final size, which only exact-size tuples draw
 from, so these piled up to 2,000 per size.  Over 16,000 finite-solve
-benchmark executions that held about 3 MB (CPython 3.11).
+benchmark executions that held about 3 MB, and 1,000 rational-solve ones
+about 0.44 MB (CPython 3.11).
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .fields import Field, field_from_json, field_to_json
 class Matrix(errors._Record):
     """An immutable matrix: its field and a non-empty tuple of equal-length row tuples.
 
-    Matrix(field, entries) validates every entry; the from_* constructors and
+    Matrix(field, entries) validates every entry; from_rows and
     matrix_from_json make each entry canonical once (field.element,
     element_from_json) and check the shape; zero and identity check their
     shape.  Results of the module's own arithmetic and elimination are
@@ -67,18 +69,7 @@ class Matrix(errors._Record):
 
     @classmethod
     def from_rows(cls, field: Field, rows) -> "Matrix":
-        entries = tuple(tuple(field.element(e) for e in row) for row in rows)
-        _check_rows(entries)
-        return _trusted(field, entries)
-
-    @classmethod
-    def from_columns(cls, field: Field, cols) -> "Matrix":
-        cols = [tuple(field.element(e) for e in col) for col in cols]
-        if not cols:
-            raise errors.ShapeError("matrix needs at least one column")
-        if len({len(col) for col in cols}) > 1:
-            raise errors.ShapeError("ragged matrix columns")
-        entries = tuple(zip(*cols))
+        entries = tuple([tuple([field.element(e) for e in row]) for row in rows])
         _check_rows(entries)
         return _trusted(field, entries)
 
@@ -91,14 +82,14 @@ class Matrix(errors._Record):
     def identity(cls, field: Field, n: int) -> "Matrix":
         _check_shape(n, n)
         z, o = field.zero, field.one
-        return _trusted(field, tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)))
+        return _trusted(field, tuple([tuple([o if i == j else z for j in range(n)]) for i in range(n)]))
 
     def _check_same_field(self, other: "Matrix") -> None:
         if self.field != other.field:
             raise errors.FieldMismatchError(f"{self.field!r} vs {other.field!r}")
 
     def column_tuple(self, j: int) -> tuple:
-        return tuple(row[j] for row in self.entries)
+        return tuple([row[j] for row in self.entries])
 
     def is_zero(self) -> bool:
         z = self.field.zero
@@ -117,7 +108,7 @@ class Matrix(errors._Record):
 
     def __neg__(self):
         neg = self.field.neg
-        return _trusted(self.field, tuple(tuple(neg(e) for e in row) for row in self.entries))
+        return _trusted(self.field, tuple([tuple([neg(e) for e in row]) for row in self.entries]))
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -161,8 +152,8 @@ def _trusted(field: Field, entries: tuple) -> Matrix:
     tuples of canonical elements of field: sums, products and eliminations of
     valid matrices, or rows assembled from already validated elements.
     Anything read from outside is checked first: by Matrix(field, entries),
-    or entry by entry by field.element or element_from_json (see the from_*
-    constructors and matrix_from_json).
+    or entry by entry by field.element or element_from_json (see from_rows
+    and matrix_from_json).
     """
     m = object.__new__(Matrix)
     _set_field(m, field)
@@ -275,10 +266,10 @@ def _add_scaled(a: Matrix, c, b: Matrix) -> Matrix:
     f = a.field
     if f.cardinality is None:
         cn, cd, z = c.numerator, c.denominator, Fraction(0)
-        return _trusted(f, tuple(
-            tuple(Fraction(e, d * cd) if (e := cd * s + cn * t) else z for s, t in zip(srow, trow))
+        return _trusted(f, tuple([
+            tuple([Fraction(e, d * cd) if (e := cd * s + cn * t) else z for s, t in zip(srow, trow)])
             for srow, trow, d in _integer_row_pairs(a, b)
-        ))
+        ]))
     add, mul = f.add, f.mul
     return _trusted(f, tuple([
         tuple([add(e, mul(c, s)) for e, s in zip(ra, rb)]) for ra, rb in zip(a.entries, b.entries)
@@ -305,10 +296,10 @@ def _rational_product(aent, bent) -> tuple:
     z, mul = Fraction(0), operator.mul
     rows = [_integer_row(row) for row in aent]
     cols = [_integer_row(col) for col in zip(*bent)]
-    return tuple(
-        tuple(Fraction(dot, da * db) if (dot := sum(map(mul, ra, cb))) else z for cb, db in cols)
+    return tuple([
+        tuple([Fraction(dot, da * db) if (dot := sum(map(mul, ra, cb))) else z for cb, db in cols])
         for ra, da in rows
-    )
+    ])
 
 
 def _rational_gauss_jordan(rows, limit: int, normalise: bool):
@@ -377,7 +368,7 @@ def _rational_gauss_jordan(rows, limit: int, normalise: bool):
 
 def rref(matrix: Matrix) -> RrefResult:
     work, pivot_cols, _ = _gauss_jordan(matrix.field, matrix.entries, matrix.cols)
-    return RrefResult(_trusted(matrix.field, tuple(map(tuple, work))), pivot_cols, len(pivot_cols))
+    return RrefResult(_trusted(matrix.field, tuple([tuple(row) for row in work])), pivot_cols, len(pivot_cols))
 
 
 def kernel_basis(matrix: Matrix) -> list[tuple]:
@@ -422,7 +413,7 @@ def inverse(matrix: Matrix) -> Matrix:
     work, pivot_cols, _ = _gauss_jordan(f, aug, n)
     if len(pivot_cols) != n:
         raise ValueError("matrix is singular")
-    return _trusted(f, tuple(tuple(row[n:]) for row in work))
+    return _trusted(f, tuple([tuple(row[n:]) for row in work]))
 
 
 def span_solve(field: Field, target, generators):
@@ -474,16 +465,17 @@ def complete_to_invertible(field: Field, n: int, vectors) -> Matrix:
     standard basis vectors with the smallest indices that keep independence.
     Both are the pivot columns of one elimination of [inputs | I].
     """
-    cols = [tuple(field.element(e) for e in v) for v in vectors]
+    _check_shape(n, n)
+    cols = [tuple([field.element(e) for e in v]) for v in vectors]
     for c in cols:
         if len(c) != n:
             raise errors.ShapeError(f"expected height-{n} vectors")
     s = len(cols)
-    units = [tuple(field.one if t == idx else field.zero for t in range(n)) for idx in range(n)]
+    units = [tuple([field.one if t == idx else field.zero for t in range(n)]) for idx in range(n)]
     _, pivot_cols, _ = _gauss_jordan(field, zip(*cols, *units), s + n)
     if pivot_cols[:s] != tuple(range(s)):
         raise errors.DependentInputError("input vectors are linearly dependent")
-    return Matrix.from_columns(field, cols + [units[p - s] for p in pivot_cols[s:]])
+    return _trusted(field, tuple(list(zip(*cols, *[units[p - s] for p in pivot_cols[s:]]))))
 
 
 def find_gl_transform(m1: Matrix, m2: Matrix) -> Matrix | None:

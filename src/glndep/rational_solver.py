@@ -114,7 +114,7 @@ def _solve_core(matrices: list[Matrix]) -> list[Matrix]:
     zero = field.zero
     deps = row_dependences(matrices)
     gs = [
-        _trusted(field, tuple(tuple(deps[r][i] if r == c else zero for c in range(n)) for r in range(n)))
+        _trusted(field, tuple([tuple([deps[r][i] if r == c else zero for c in range(n)]) for r in range(n)]))
         for i in range(m + 1)
     ]
     errors.check(_weighted_sum(gs, matrices).is_zero(), "the row-dependence multipliers do not sum to zero")
@@ -153,7 +153,7 @@ def row_dependences(matrices) -> list[tuple]:
     n, m = matrices[0].rows, matrices[0].cols
     out = []
     for r in range(n):
-        stacked = _trusted(field, tuple(tuple(M.entries[r][c] for M in matrices) for c in range(m)))
+        stacked = _trusted(field, tuple([tuple([M.entries[r][c] for M in matrices]) for c in range(m)]))
         kernel = kernel_basis(stacked)
         errors.check(bool(kernel), f"row slice {r}: {m + 1} vectors of length {m} are independent")
         out.append(kernel[0])
@@ -199,11 +199,11 @@ def project_and_recurse(matrices, j: int) -> list[Matrix]:
     field = matrices[0].field
     n, m = matrices[0].rows, matrices[0].cols
     others = [M for i, M in enumerate(matrices) if i != j]
-    reduced = rref(_trusted(field, tuple(row for M in others for row in M.entries)))
+    reduced = rref(_trusted(field, tuple([row for M in others for row in M.entries])))
     r = reduced.rank
     errors.check(r <= m - 1, f"span of the other rows has dimension {r}, expected <= {m - 1}")
     pivots = reduced.pivot_cols
-    projected = [_trusted(field, tuple(tuple(row[c] for c in pivots) for row in M.entries)) for M in others]
+    projected = [_trusted(field, tuple([tuple([row[c] for c in pivots]) for row in M.entries])) for M in others]
     lifted = _solve_entry(projected)
     lifted.insert(j, Matrix.zero(field, n, n))
     errors.check(_weighted_sum(lifted, matrices).is_zero(), "the lifted multipliers do not sum to zero")
@@ -235,7 +235,7 @@ def correct_bad_index(gs, good: frozenset, j: int, alpha_rows) -> tuple[list[Mat
     corrections = {}
     for pos, i in enumerate(others):
         corrections[i] = _trusted(
-            field, tuple(tuple(alpha_rows[ell][pos * n + t] for t in range(n)) for ell in range(n))
+            field, tuple([tuple([alpha_rows[ell][pos * n + t] for t in range(n)]) for ell in range(n)])
         )
 
     ident = Matrix.identity(field, n)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from . import errors
 from .certificate import TAG_ZERO
 from .fields import Field, field_from_json, field_to_json
-from .matrix import Matrix, _trusted, rref, span_solve_many
+from .matrix import Matrix, _check_rows, _trusted, rref, span_solve_many
 from .oracle import brute_force_witness
 from .finite_solver import solve_finite
 from .rational_solver import solve_rational
@@ -68,14 +68,15 @@ class Subspace(errors._Record):
 
     @classmethod
     def from_vectors(cls, field: Field, ambient: int, vectors) -> "Subspace":
-        vectors = [tuple(field.element(e) for e in v) for v in vectors]
+        vectors = tuple([tuple([field.element(e) for e in v]) for v in vectors])
         for v in vectors:
             if len(v) != ambient:
                 raise errors.ShapeError("spanning vector of the wrong length")
         if not vectors:
             return cls(field, ambient, ())
-        reduced = rref(Matrix(field, tuple(vectors)))
-        return cls(field, ambient, tuple(reduced.rref.entries[t] for t in range(reduced.rank)))
+        _check_rows(vectors)
+        reduced = rref(_trusted(field, vectors))
+        return cls(field, ambient, reduced.rref.entries[: reduced.rank])
 
 
 def representative_matrix(subspace: Subspace, n: int) -> Matrix:

@@ -155,7 +155,7 @@ def test_criterion_7_subspace_properties():
         lines = [Subspace.from_vectors(GF2, m, [v]) for v in _gf2_vectors(m) if any(v)]
         for k in range(1, m + 2):
             for family in product(lines, repeat=k):
-                generators = Matrix.from_columns(GF2, [L.basis[0] for L in family])
+                generators = Matrix.from_rows(GF2, [L.basis[0] for L in family])
                 ordinary = rref(generators).rank < k
                 witness = solve_subspace_dependence(list(family), 1)
                 if witness is not None:

@@ -23,6 +23,7 @@ from glndep.matrix import (
     span_solve,
     span_solve_many,
 )
+from glndep.subspaces import Subspace
 
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)
@@ -74,8 +75,6 @@ def test_every_public_constructor_rejects_non_canonical_entries(field, entries, 
         Matrix(field, entries)
     with pytest.raises((TypeError, ValueError)):
         Matrix.from_rows(field, rows)
-    with pytest.raises((TypeError, ValueError)):
-        Matrix.from_columns(field, rows)
     obj = dict(matrix_to_json(Matrix.identity(field, 1)), entries=[[json_entry]])
     with pytest.raises(errors.ParseError):
         matrix_from_json(obj)
@@ -88,8 +87,6 @@ def test_every_public_constructor_rejects_ragged_rows(entries):
         Matrix(GF2, entries)
     with pytest.raises(errors.ShapeError):
         Matrix.from_rows(GF2, rows)
-    with pytest.raises(errors.ShapeError):
-        Matrix.from_columns(GF2, rows)
     obj = {"field": {"kind": "prime", "p": 2}, "rows": 2, "cols": 2,
            "entries": [[str(e) for e in row] for row in entries]}
     with pytest.raises(errors.ParseError):
@@ -103,8 +100,11 @@ def test_every_public_constructor_rejects_empty_shapes(entries):
         Matrix(GF2, entries)
     with pytest.raises(errors.ShapeError):
         Matrix.from_rows(GF2, rows)
+    # n = 0, and zero-width spanning vectors: both build their matrix unvalidated
     with pytest.raises(errors.ShapeError):
-        Matrix.from_columns(GF2, rows)
+        complete_to_invertible(GF2, 0, rows)
+    with pytest.raises(errors.ShapeError):
+        Subspace.from_vectors(GF2, 0, rows)
     obj = {"field": {"kind": "prime", "p": 2}, "rows": len(rows), "cols": len(rows[0]) if rows else 0, "entries": rows}
     with pytest.raises(errors.ParseError):
         matrix_from_json(obj)
@@ -231,9 +231,9 @@ def test_kernel_properties(field):
         basis = kernel_basis(m)
         assert len(basis) == m.cols - rref(m).rank
         for v in basis:
-            assert (m * Matrix.from_columns(field, [v])).is_zero()
+            assert (m * Matrix.from_rows(field, [[e] for e in v])).is_zero()
         if basis:
-            assert rref(Matrix.from_columns(field, basis)).rank == len(basis)
+            assert rref(Matrix.from_rows(field, basis)).rank == len(basis)
 
 
 # determinant

@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 from conftest import golden_instances, random_matrix
 from glndep import errors
 from glndep.certificate import TAG_INVERTIBLE, verify_witness, witness_to_json
-from glndep.fields import ExtensionField, PrimeField
-from glndep.fullrank import build_fullrank_basis
+from glndep.fields import ExtensionField, PrimeField, _poly_mod
+from glndep.fullrank import _block_columns, build_fullrank_basis
 from glndep.matrix import Matrix, kernel_basis, span_solve
 from glndep.oracle import brute_force_witness
-from glndep.finite_solver import _block_columns, solve_finite
+from glndep.finite_solver import solve_finite
 
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)
@@ -208,10 +208,33 @@ def _block_heads(draw):
     return field, n, head
 
 
+def _basis_of_h(field, modulus):
+    """B_t with B_t[r][j] the coefficient r of x^(t+j) mod f, by polynomial division."""
+    n = len(modulus) - 1
+    residues = []
+    for i in range(2 * n - 1):
+        coeffs = _poly_mod(field, [field.zero] * i + [field.one], modulus)
+        residues.append(coeffs + [field.zero] * (n - len(coeffs)))
+    return [Matrix.from_rows(field, [[residues[t + j][r] for j in range(n)] for r in range(n)]) for t in range(n)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(_block_heads())
 def test_block_columns_are_the_products_with_the_basis_of_h(case):
     field, n, head = case
-    basis = build_fullrank_basis(field, n)
-    products = [tuple(e for row in (b * M).entries for e in row) for M in head for b in basis.basis]
-    assert _block_columns(field, basis.modulus, head) == products
+    h = build_fullrank_basis(field, n)
+    modulus = h.modulus
+    basis = _basis_of_h(field, modulus)
+    assert list(h.basis) == basis
+    products = [tuple(e for row in (b * M).entries for e in row) for M in head for b in basis]
+    assert _block_columns(field, modulus, head) == products
+    # solve_finite builds each multiplier by shifting its coefficients; it
+    # must be the member sum_t c_t B_t of H for the canonical kernel vector.
+    coeffs = kernel_basis(Matrix(field, tuple(zip(*products))))[0]
+    members = []
+    for i in range(len(head)):
+        g = [[field.zero] * n for _ in range(n)]
+        for c, b in zip(coeffs[i * n : (i + 1) * n], basis):
+            g = [[field.add(e, field.mul(c, s)) for e, s in zip(grow, brow)] for grow, brow in zip(g, b.entries)]
+        members.append(Matrix.from_rows(field, g))
+    assert list(solve_finite(head).entries) == members
