@@ -47,6 +47,12 @@ def _read_json(path: str):
             return json.load(fh)
         except RecursionError:
             raise errors.ParseError(f"{path}: JSON nested too deeply") from None
+        except json.JSONDecodeError:
+            raise
+        except ValueError as exc:
+            # An integer literal of more digits than int() converts (4,300 by
+            # default), or bytes that are not UTF-8.
+            raise errors.ParseError(f"{path}: {exc}") from None
 
 
 def _emit(obj, path: str | None) -> None:

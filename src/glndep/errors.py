@@ -61,10 +61,19 @@ def check(ok: bool, what: str) -> None:
         raise PostconditionError(what)
 
 
+def _repr_int(x: int, level: int) -> str:
+    # repr refuses an int of more digits than sys.get_int_max_str_digits()
+    # (4,300 by default, never below 640), so one of over 2,000 bits (603
+    # digits) is described by its size.
+    bits = x.bit_length()
+    return f"<int of {bits:,} bits>" if bits > 2000 else reprlib.Repr.repr_int(_REPR, x, level)
+
+
 # Nested containers are elided past the third level and long strings, ints
 # and containers are shortened; _excerpt cuts whatever is left to 160 characters.
 _REPR = reprlib.Repr()
 _REPR.maxlevel = 3
+_REPR.repr_int = _repr_int  # Repr.repr looks up repr_<type name> on the instance
 _EXCERPT_CHARS = 160
 
 

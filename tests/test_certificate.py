@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import random_invertible, random_matrix
-from glndep import errors
+from glndep import errors, fields
 from glndep.certificate import (
     TAG_INVERTIBLE,
     TAG_ZERO,
@@ -23,6 +23,7 @@ from glndep.certificate import (
 from glndep.fields import ExtensionField, PrimeField, RationalField
 from glndep.matrix import Matrix, inverse
 from glndep.finite_solver import solve_finite
+from glndep.rational_solver import solve_unsafe_finite
 
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)
@@ -220,6 +221,25 @@ def test_instance_json_rejects_field_mismatch():
     obj["field"] = {"kind": "prime", "p": 3}
     with pytest.raises(errors.ParseError):
         instance_from_json(obj)
+
+
+def test_a_given_modulus_is_tested_once(monkeypatch):
+    # A GF(2^16) instance of 4 matrices and its witness, as glndep verify
+    # reads them, hold 10 field descriptors with one modulus; Ben-Or's test
+    # ran on it for each of them.
+    modulus = (1, 1, 0, 1, 0, 1) + (0,) * 10 + (1,)
+    field = ExtensionField(2, 16, modulus)
+    rng = random.Random(16)
+    mats = [random_matrix(rng, field, 2, 3) for _ in range(4)]
+    instance, witness = instance_to_json(field, mats), witness_to_json(solve_unsafe_finite(mats))
+    fields._modulus_is_irreducible.cache_clear()
+    calls = []
+    test = fields.is_irreducible
+    monkeypatch.setattr(fields, "is_irreducible", lambda f, coeffs: calls.append(coeffs) or test(f, coeffs))
+    parsed_field, parsed = instance_from_json(instance)
+    verify_witness(parsed, witness_from_json(witness))
+    assert parsed_field.modulus == modulus
+    assert calls == [list(modulus)]
 
 
 def test_tampered_witness_fails_end_to_end():

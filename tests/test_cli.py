@@ -7,7 +7,7 @@ import pytest
 
 from glndep.certificate import instance_to_json, witness_from_json
 from glndep.cli import main
-from glndep.fields import PrimeField, RationalField
+from glndep.fields import ExtensionField, PrimeField, RationalField
 from glndep.fullrank import build_fullrank_basis, fullrank_to_json
 from glndep.matrix import Matrix
 
@@ -391,6 +391,59 @@ def test_deeply_nested_json_is_input_error(tmp_path, capsys):
     assert main(["oracle", "--input", str(deep)]) == 3
     assert main(["subspace-solve", "--input", str(deep), "--n", "1"]) == 3
     assert capsys.readouterr().err.count("JSON nested too deeply") == 3
+
+
+@pytest.mark.parametrize("command", ["verify", "oracle", "solve"])
+def test_huge_integer_literals_are_input_errors(tmp_path, capsys, command):
+    # int() refuses a literal of over 4,300 digits; its ValueError gave exit 2.
+    inst = tmp_path / "inst.json"
+    obj = instance_to_json(GF2, unit_pair(GF2))
+    obj["matrices"][0]["rows"] = "@huge@"
+    inst.write_text(json.dumps(obj).replace('"@huge@"', "1" + "0" * 5000))
+    argv = {
+        "verify": ["verify", "--instance", str(inst), "--witness", str(inst)],
+        "oracle": ["oracle", "--input", str(inst)],
+        "solve": ["solve", "--field", "prime:2", "--input", str(inst)],
+    }[command]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {inst}: ") and "digits" in err
+    assert len(err.encode()) < 1024
+
+
+def test_bytes_that_are_not_utf8_are_input_errors(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    inst.write_bytes(b'{"field": "\xff"}')
+    assert main(["oracle", "--input", str(inst)]) == 3
+    assert "can't decode byte 0xff" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"p": 2.0},
+        {"k": True},
+        {"k": 4.0},
+        {"modulus": [1, 1, 0, 0, 1]},
+        {"modulus": ["1", "0", "0", "0", "1"]},
+        {"modulus": ["1", "1", "0", "0", "0"]},
+    ],
+    ids=["float-p", "bool-k", "float-k", "int-modulus", "reducible-modulus", "non-monic-modulus"],
+)
+def test_a_checked_modulus_lets_no_bad_descriptor_through(tmp_path, change):
+    # The irreducibility of a given modulus is remembered per GF(p) and
+    # coefficient tuple.  Since 2 == 2.0 == True, a memo keyed on the raw JSON
+    # values would pass these once the valid descriptor had been parsed.
+    gf16 = ExtensionField(2, 4)
+    one = Matrix.from_rows(gf16, [[gf16.one]])
+    inst = tmp_path / "inst.json"
+    obj = instance_to_json(gf16, [one, one])
+    inst.write_text(json.dumps(obj))
+    assert main(["oracle", "--input", str(inst), "--output", str(tmp_path / "out.json")]) == 0
+    for descriptor in (obj["field"], *(m["field"] for m in obj["matrices"])):
+        descriptor.update(change)
+    inst.write_text(json.dumps(obj))
+    assert main(["oracle", "--input", str(inst)]) == 3
 
 
 def test_oracle_on_a_tall_instance_is_refused_quickly(tmp_path, capsys):

@@ -13,6 +13,7 @@ import contextlib
 import io
 import json
 import signal
+import sys
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -60,14 +61,33 @@ def _documents():
 
 DOCUMENTS = _documents()
 
-_HUGE = st.sampled_from([10 ** 400, -(10 ** 400), 2 ** 64, 2 ** 64 + 1, 2 ** 31, -1, 0, 10 ** 12])
+
+@contextlib.contextmanager
+def _any_int_digits():
+    """Lift the limit on the digits of an int written as text, which 10 ** 5000
+    exceeds, while the test writes its own inputs; glndep reads them under it."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _text(value) -> str:
+    with _any_int_digits():
+        return str(value)
+
+
+# 10 ** 5000 has more digits than int() reads from text by default (4,300).
+_HUGE = st.sampled_from([10 ** 400, -(10 ** 400), 10 ** 5000, 2 ** 64, 2 ** 64 + 1, 2 ** 31, -1, 0, 10 ** 12])
 _JUNK = st.one_of(
     st.none(),
     st.booleans(),
     st.floats(allow_nan=False),
     st.integers(-5, 5),
     _HUGE,
-    _HUGE.map(str),
+    _HUGE.map(_text),
     st.sampled_from(["", "1/0", "0/5", "-1", "x", "9" * 5000, "1e9", "Infinity"]),
     st.lists(st.integers(-2, 2), max_size=3),
     st.just({}),
@@ -92,9 +112,9 @@ _EXT_DESCRIPTORS = st.builds(
 # that can be irreducible.
 _SELECTORS = st.one_of(
     st.sampled_from(["prime:3", "ext:2:2", "rational", "prime:", "ext:2", "rational:1", "", "prime:4"]),
-    st.builds("prime:{}".format, st.one_of(st.integers(-3, 40), _HUGE)),
+    st.builds("prime:{}".format, st.one_of(st.integers(-3, 40), _HUGE).map(_text)),
     st.builds("ext:{}:{}".format, st.sampled_from([2, 3, 4, 0, -2, 2 ** 31]),
-              st.one_of(st.integers(-2, 3), st.integers(65, 10 ** 6), _HUGE)),
+              st.one_of(st.integers(-2, 3), st.integers(65, 10 ** 6), _HUGE).map(_text)),
     st.text(max_size=12),
 )
 
@@ -123,7 +143,9 @@ def _mutated(draw, doc):
 
 
 def _write(path, doc):
-    path.write_text(json.dumps(doc).replace(json.dumps(DEEP), DEEP_TEXT))
+    with _any_int_digits():
+        text = json.dumps(doc)
+    path.write_text(text.replace(json.dumps(DEEP), DEEP_TEXT))
 
 
 class Hang(Exception):
@@ -166,7 +188,7 @@ def _runs(draw, tmp):
     # The cap keeps every sweep that is allowed to start short.
     q = draw(st.one_of(st.integers(-2, 9), _HUGE, st.just(2 ** 61 - 1)))
     n, m, cap = draw(small), draw(small), draw(st.sampled_from(["-1", "0", "100", "1000"]))
-    return ["check-theorem", "--q", str(q), "--n", n, "--m", m, "--cap", cap, "--output", out]
+    return ["check-theorem", "--q", _text(q), "--n", n, "--m", m, "--cap", cap, "--output", out]
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -1,5 +1,6 @@
 """Field arithmetic: construction, canonical forms, axioms, and JSON encoding."""
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glndep import errors
+from glndep import errors, fields
 from glndep.fields import (
     _monic_polynomials,
     _poly_mod,
@@ -22,6 +23,7 @@ from glndep.fields import (
     is_irreducible,
     parse_field,
 )
+from glndep.matrix import Matrix
 
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)
@@ -149,6 +151,46 @@ def test_skipping_the_binomials_keeps_the_first_irreducible():
     assert checked == 81
 
 
+def test_the_root_sieve_keeps_the_first_irreducible():
+    # Over a field of at most 256 elements find_irreducible runs Ben-Or only on
+    # candidates without a root; the plain scan from x^n must agree with it.
+    checked = 0
+    for q in range(2, 257):
+        p = next(d for d in range(2, q + 1) if q % d == 0)
+        if p ** round(math.log(q, p)) != q:
+            continue
+        field = field_from_order(q)
+        for n in (1, 2, 3):
+            plain = next(tuple(c) for c in _monic_polynomials(field, n, 0) if is_irreducible(field, c))
+            assert find_irreducible(field, n) == plain, (q, n)
+            checked += 1
+    assert checked == 3 * 70  # 54 primes and 16 higher prime powers up to 256
+
+
+def test_degree_one_search_returns_x():
+    # x has the root 0 but is irreducible; the sieve is for degrees >= 2.
+    for field in (GF2, GF7, GF4, ExtensionField(2, 8)):
+        assert find_irreducible(field, 1) == (field.zero, field.one)
+
+
+def test_the_gf256_degree_four_modulus_is_pinned():
+    # Found by the unsieved counting-order scan, which ran Ben-Or's test on
+    # 65,801 candidates; the sieve tests 16,449.
+    e = [tuple(int(i == j) for j in range(8)) for i in range(8)]
+    zero = (0,) * 8
+    assert find_irreducible(ExtensionField(2, 8), 4) == (e[3], e[1], e[0], zero, e[0])
+
+
+def test_the_sieve_runs_few_ben_or_tests(monkeypatch):
+    # The unsieved scan tested 277 candidates of degree 4 over GF(2^4).
+    gf16 = ExtensionField(2, 4)
+    calls = []
+    test = fields.is_irreducible
+    monkeypatch.setattr(fields, "is_irreducible", lambda field, coeffs: calls.append(coeffs) or test(field, coeffs))
+    assert find_irreducible(gf16, 4) == ((0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 0), (1, 0, 0, 0))
+    assert len(calls) <= 69
+
+
 def test_a_search_past_the_binomials_is_quick():
     # No x^3 + c is irreducible over GF(65537), as 3 does not divide 65536;
     # scanning all 65537 of them took 7.5 s.
@@ -223,6 +265,43 @@ def test_rational_validate_requires_fraction():
         QQ.validate(0.5)
     with pytest.raises(TypeError):
         QQ.validate(1)
+
+
+GF16 = ExtensionField(2, 4)
+
+
+@pytest.mark.parametrize(
+    "build,error,message",
+    [
+        (lambda: Matrix.from_rows(GF16, [[(0,) * 300_000]]), TypeError, "GF(2^4) element must be a 4-sequence"),
+        (lambda: GF16.validate((0,) * 300_000), TypeError, "GF(2^4) element must be a 4-tuple"),
+        (lambda: GF16.validate((10 ** 5000, 0, 0, 0)), ValueError, "non-canonical GF(2^4) element"),
+        (lambda: GF16.element([0] * 300_000), TypeError, "GF(2^4) element must be a 4-sequence"),
+        (lambda: Matrix.from_rows(QQ, [[[0] * 300_000]]), TypeError, "rational element must be an int or Fraction"),
+        (lambda: GF7.validate(10 ** 5000), ValueError, "non-canonical GF(7) element"),
+    ],
+    ids=["ext-from-rows", "ext-validate-length", "ext-validate-huge-int", "ext-element", "qq-from-rows", "prime-validate"],
+)
+def test_element_errors_quote_values_briefly(build, error, message):
+    # The messages quoted the whole value: 900,054 characters for the
+    # GF(2^4) row, 2,288,939 for the QQ one.
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value).startswith(message)
+    assert len(str(info.value).encode()) < 1024
+
+
+def test_huge_ints_are_described_by_their_size():
+    # repr refuses an int of over 4,300 digits, which turned these messages
+    # into the interpreter's ValueError.
+    assert errors._excerpt(10 ** 5000) == "<int of 16,610 bits>"
+    assert errors._excerpt([1, -(10 ** 5000)]) == "[1, <int of 16,610 bits>]"
+    with pytest.raises(errors.TooLargeError, match="GF\\(2\\^<int of 16,610 bits>\\) is larger than the cap"):
+        ExtensionField(2, 10 ** 5000)
+    with pytest.raises(ValueError, match="prime modulus must be < 2\\^31, got <int of 16,610 bits>"):
+        PrimeField(10 ** 5000)
+    with pytest.raises(ValueError, match="non-canonical GF\\(7\\) element: <int of 16,610 bits>"):
+        GF7.validate(10 ** 5000)
 
 
 def test_from_int_embedding():
