@@ -49,10 +49,13 @@ def _read_json(path: str):
             raise errors.ParseError(f"{path}: JSON nested too deeply") from None
         except json.JSONDecodeError:
             raise
-        except ValueError as exc:
-            # An integer literal of more digits than int() converts (4,300 by
-            # default), or bytes that are not UTF-8.
+        except UnicodeDecodeError as exc:
             raise errors.ParseError(f"{path}: {exc}") from None
+        except ValueError:
+            # json hands each integer literal to int(), which refuses one of
+            # more digits than sys.get_int_max_str_digits().
+            limit = sys.get_int_max_str_digits()
+            raise errors.ParseError(f"{path}: an integer has more digits than the limit of {limit:,}") from None
 
 
 def _emit(obj, path: str | None) -> None:

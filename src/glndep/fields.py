@@ -9,6 +9,8 @@ canonical form; structure constructors re-check canonicity and fail fast.
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
@@ -398,14 +400,25 @@ class RationalField(Field):
             raise errors.ParseError(f"bad rational element string: {errors._excerpt(obj)}") from None
 
 
+def _selector_int(text: str) -> int:
+    """int(text).  int() refuses a decimal number only for having more digits
+    than sys.get_int_max_str_digits(); that is said here without its advice."""
+    try:
+        return int(text)
+    except ValueError:
+        if not re.fullmatch(r"\s*[+-]?\d(?:_?\d)*\s*", text):
+            raise
+    raise ValueError(f"the number has more digits than the limit of {sys.get_int_max_str_digits():,}")
+
+
 def parse_field(text: str) -> Field:
     """Parse a field selector: "prime:p", "ext:p:k", or "rational"."""
     parts = text.split(":")
     try:
         if parts[0] == "prime" and len(parts) == 2:
-            return PrimeField(int(parts[1]))
+            return PrimeField(_selector_int(parts[1]))
         if parts[0] == "ext" and len(parts) == 3:
-            return ExtensionField(int(parts[1]), int(parts[2]))
+            return ExtensionField(_selector_int(parts[1]), _selector_int(parts[2]))
         if parts[0] == "rational" and len(parts) == 1:
             return RationalField()
     except ValueError as exc:

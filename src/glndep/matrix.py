@@ -1,9 +1,10 @@
 """Dense exact matrices over a Field, and the elimination behind every matrix question.
 
 Matrices are immutable row-major tuples of canonical field elements; a vector
-is a plain tuple of them.  RREF, rank, kernel, determinant, inverse and span
-solving all read one Gauss-Jordan pass.  Pivoting is always "first nonzero",
-never by magnitude, so every result is deterministic and reproducible.
+is a plain tuple of them.  RREF, rank, kernel, determinant, span solving and
+the GL(n) transform all read one Gauss-Jordan pass.  Pivoting is always
+"first nonzero", never by magnitude, so every result is deterministic and
+reproducible.
 
 Over QQ, elimination and products run on Python ints.  Elimination clears
 each row of denominators and normalises the reduced rows with one Fraction per
@@ -87,9 +88,6 @@ class Matrix(errors._Record):
     def _check_same_field(self, other: "Matrix") -> None:
         if self.field != other.field:
             raise errors.FieldMismatchError(f"{self.field!r} vs {other.field!r}")
-
-    def column_tuple(self, j: int) -> tuple:
-        return tuple([row[j] for row in self.entries])
 
     def is_zero(self) -> bool:
         z = self.field.zero
@@ -403,19 +401,6 @@ def det(matrix: Matrix):
     return factor if len(pivot_cols) == n else matrix.field.zero
 
 
-def inverse(matrix: Matrix) -> Matrix:
-    n, cols = matrix.rows, matrix.cols
-    if n != cols:
-        raise errors.ShapeError(f"inverse of a {n}x{cols} matrix")
-    f = matrix.field
-    ident = Matrix.identity(f, n)
-    aug = [r + i for r, i in zip(matrix.entries, ident.entries)]
-    work, pivot_cols, _ = _gauss_jordan(f, aug, n)
-    if len(pivot_cols) != n:
-        raise ValueError("matrix is singular")
-    return _trusted(f, tuple([tuple(row[n:]) for row in work]))
-
-
 def span_solve(field: Field, target, generators):
     """Express target as a combination of the generators, or None.
 
@@ -484,8 +469,10 @@ def find_gl_transform(m1: Matrix, m2: Matrix) -> Matrix | None:
     Both matrices are written as coordinate matrices over the shared canonical
     row basis, the nonzero rows of their common RREF; a row's coordinates are
     its entries at the pivot columns.  Completing those coordinate columns to
-    invertible matrices and composing gives g.  Equal inputs produce the
-    identity.  The result is re-verified before returning.
+    invertible p1 and p2, g is the one solution of g * p1 == p2: eliminating
+    the rows of [p1^T | p2^T] with pivots in the first n columns leaves
+    [I | g^T].  Equal inputs produce the identity, and the transform onto the
+    identity is the inverse.  The result is re-verified before returning.
     """
     if m1.rows != m2.rows or m1.cols != m2.cols:
         raise errors.ShapeError("matrices of mixed shapes")
@@ -496,9 +483,10 @@ def find_gl_transform(m1: Matrix, m2: Matrix) -> Matrix | None:
         return None
     field = m1.field
     n = m1.rows
-    p1 = complete_to_invertible(field, n, [m1.column_tuple(c) for c in reduced.pivot_cols])
-    p2 = complete_to_invertible(field, n, [m2.column_tuple(c) for c in reduced.pivot_cols])
-    g = p2 * inverse(p1)
+    p1 = complete_to_invertible(field, n, [[r[c] for r in m1.entries] for c in reduced.pivot_cols])
+    p2 = complete_to_invertible(field, n, [[r[c] for r in m2.entries] for c in reduced.pivot_cols])
+    work, _, _ = _gauss_jordan(field, [c1 + c2 for c1, c2 in zip(zip(*p1.entries), zip(*p2.entries))], n)
+    g = _trusted(field, tuple(list(zip(*[row[n:] for row in work]))))
     errors.check(det(g) != field.zero and g * m1 == m2, "the transform is singular or misses m2")
     return g
 

@@ -42,7 +42,7 @@ class SubspaceVerificationError(errors.Error):
 
 
 class Subspace(errors._Record):
-    """A subspace of K^m in canonical form: the nonzero rows of an RREF basis."""
+    """A subspace of K^m in canonical form: a basis that is the nonzero rows of its own rref."""
 
     __slots__ = ("field", "ambient", "basis")
 
@@ -55,12 +55,10 @@ class Subspace(errors._Record):
             for e in row:
                 self.field.validate(e)
         # Only the canonical basis, so that equal subspaces compare equal.
-        zero, one = self.field.zero, self.field.one
-        leads = [next((c for c, e in enumerate(row) if e != zero), None) for row in self.basis]
-        if None in leads or leads != sorted(set(leads)) or any(
-            row[c] != (one if s == t else zero) for t, row in enumerate(self.basis) for s, c in enumerate(leads)
-        ):
-            raise ValueError("subspace basis must be the nonzero rows of an RREF")
+        if self.basis:
+            reduced = rref(_trusted(self.field, self.basis))
+            if reduced.rank != len(self.basis) or reduced.rref.entries != self.basis:
+                raise ValueError("subspace basis must be the nonzero rows of an RREF")
 
     @property
     def dim(self) -> int:

@@ -21,7 +21,7 @@ from glndep.certificate import (
     witness_to_json,
 )
 from glndep.fields import ExtensionField, PrimeField, RationalField
-from glndep.matrix import Matrix, inverse
+from glndep.matrix import Matrix, find_gl_transform
 from glndep.finite_solver import solve_finite
 from glndep.rational_solver import solve_unsafe_finite
 
@@ -124,7 +124,8 @@ def test_right_action_equivariance():
             mats, witness = _identity_minus_identity(field, 2, 2, rng)
             hs = [random_invertible(rng, field, 2) for _ in mats]
             new_mats = [h * m for h, m in zip(hs, mats)]
-            new_entries = tuple(g * inverse(h) for g, h in zip(witness.entries, hs))
+            ident = Matrix.identity(field, 2)
+            new_entries = tuple(g * find_gl_transform(h, ident) for g, h in zip(witness.entries, hs))
             transformed = Witness(field, witness.n, new_entries, witness.tags)
             verify_witness(new_mats, transformed)
 

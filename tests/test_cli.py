@@ -408,6 +408,25 @@ def test_huge_integer_literals_are_input_errors(tmp_path, capsys, command):
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"input error: {inst}: ") and "digits" in err
+    assert "set_int_max_str_digits" not in err
+    assert len(err.encode()) < 1024
+
+
+_DIGITS_5001 = "1" + "0" * 5000
+
+
+@pytest.mark.parametrize(
+    "selector",
+    [f"prime:{_DIGITS_5001}", f"ext:{_DIGITS_5001}:2", f"ext:2:{_DIGITS_5001}"],
+    ids=["prime", "ext-p", "ext-k"],
+)
+def test_huge_selector_numbers_are_input_errors(capsys, selector):
+    # The interpreter's own refusal advises sys.set_int_max_str_digits(),
+    # which a command-line user cannot call.
+    assert main(["make-h", "--field", selector, "--n", "2"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error: bad field selector ") and "more digits than the limit" in err
+    assert "set_int_max_str_digits" not in err
     assert len(err.encode()) < 1024
 
 

@@ -1,5 +1,6 @@
 """Fuzzing the CLI in process: mutated instance, witness and family JSON, and
-mutated field selectors, must each end in an exit code 0-3 within a time bound.
+mutated field selectors, must each end in an exit code 0-3 within a time bound,
+with a short message on stderr.
 
 Every example starts from a valid document, changes one node of it (a wrong
 type, a huge or negative int, a deleted key, a nesting deeper than the JSON
@@ -104,6 +105,11 @@ _EXT_DESCRIPTORS = st.builds(
     st.sampled_from([2, 3, 2 ** 31 - 1, 2 ** 31, 4]),
     st.one_of(st.integers(-2, 3), _HUGE),
 )
+# Selector numbers of more digits than int() reads from text, some with
+# leading zeros or a sign.
+_LONG_NUMBERS = st.builds(
+    "{}{}".format, st.sampled_from(["", "-", "0" * 4300]), st.integers(4301, 6000).map("9".__mul__)
+)
 # The valid fields among these are prime fields below 41, GF(4), GF(8), GF(9)
 # and GF(27).  make-h and solve --random build H over them, and the search for
 # H's modulus is not bounded in time over every field the cap allows (see
@@ -112,9 +118,9 @@ _EXT_DESCRIPTORS = st.builds(
 # that can be irreducible.
 _SELECTORS = st.one_of(
     st.sampled_from(["prime:3", "ext:2:2", "rational", "prime:", "ext:2", "rational:1", "", "prime:4"]),
-    st.builds("prime:{}".format, st.one_of(st.integers(-3, 40), _HUGE).map(_text)),
-    st.builds("ext:{}:{}".format, st.sampled_from([2, 3, 4, 0, -2, 2 ** 31]),
-              st.one_of(st.integers(-2, 3), st.integers(65, 10 ** 6), _HUGE).map(_text)),
+    st.builds("prime:{}".format, st.one_of(st.integers(-3, 40), _HUGE).map(_text) | _LONG_NUMBERS),
+    st.builds("ext:{}:{}".format, st.sampled_from([2, 3, 4, 0, -2, 2 ** 31]).map(str) | _LONG_NUMBERS,
+              st.one_of(st.integers(-2, 3), st.integers(65, 10 ** 6), _HUGE).map(_text) | _LONG_NUMBERS),
     st.text(max_size=12),
 )
 
@@ -205,3 +211,6 @@ def test_cli_ends_in_a_documented_exit_code(tmp_path, data):
         signal.signal(signal.SIGALRM, previous)
     assert code in (0, 1, 2, 3), (code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    # No advice meant for programmers, and no whole input value echoed back.
+    assert "set_int_max_str_digits" not in err.getvalue()
+    assert len(err.getvalue().encode()) < 1024, err.getvalue()[:300]

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import random_invertible, random_matrix
 from glndep import errors
-from glndep.fields import PrimeField, RationalField
+from glndep.fields import ExtensionField, PrimeField, RationalField
 from glndep.matrix import Matrix, det, find_gl_transform, rref
 from glndep.subspaces import (
     FLAG_FULL,
@@ -28,6 +28,7 @@ from glndep.subspaces import (
 
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)
+GF4 = ExtensionField(2, 2)
 QQ = RationalField()
 
 
@@ -48,9 +49,12 @@ def line(field, vector):
 )
 def test_subspace_rejects_a_basis_that_is_not_canonical(basis):
     # a raw basis is trusted as canonical, so a bad one would compare unequal
-    # to its own span and report the wrong dimension
-    with pytest.raises(ValueError):
-        Subspace(QQ, 2, tuple(tuple(Fraction(e) for e in row) for row in basis))
+    # to its own span and report the wrong dimension; 2 stands for an element
+    # other than 0 and 1
+    for field, two in ((QQ, Fraction(2)), (GF3, 2), (GF4, (0, 1))):
+        elements = {0: field.zero, 1: field.one, 2: two}
+        with pytest.raises(ValueError):
+            Subspace(field, 2, tuple(tuple(elements[e] for e in row) for row in basis))
 
 
 def test_subspace_is_immutable():
@@ -215,13 +219,10 @@ def test_rational_small_families_are_undecided():
 
 
 def test_family_over_extension_field():
-    from glndep.fields import ExtensionField
-
-    gf4 = ExtensionField(2, 2)
     lines = [
-        Subspace.from_vectors(gf4, 2, [((1, 0), (0, 0))]),
-        Subspace.from_vectors(gf4, 2, [((0, 0), (1, 0))]),
-        Subspace.from_vectors(gf4, 2, [((1, 0), (0, 1))]),
+        Subspace.from_vectors(GF4, 2, [((1, 0), (0, 0))]),
+        Subspace.from_vectors(GF4, 2, [((0, 0), (1, 0))]),
+        Subspace.from_vectors(GF4, 2, [((1, 0), (0, 1))]),
     ]
     witness = solve_subspace_dependence(lines, 1)
     assert witness is not None
