@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from . import errors
 from .fields import Field, field_from_json, field_to_json
-from .matrix import Matrix, _weighted_sum, det, matrix_from_json, matrix_to_json
+from .matrix import Matrix, _one_field_and_shape, _weighted_sum, det, matrix_from_json, matrix_to_json
 
 TAG_ZERO = "zero"
 TAG_INVERTIBLE = "inv"
@@ -146,20 +146,6 @@ def witness_from_json(obj) -> Witness:
 
 def instance_to_json(field: Field, matrices) -> dict:
     return {"field": field_to_json(field), "matrices": [matrix_to_json(M) for M in matrices]}
-
-
-def _one_field_and_shape(matrices: list[Matrix]) -> tuple[Field, int, int]:
-    """(field, n, m) of at least one matrix, all of one shape n x m over one field."""
-    if not matrices:
-        raise errors.ShapeError("need at least one matrix")
-    field = matrices[0].field
-    n, m = matrices[0].rows, matrices[0].cols
-    for M in matrices:
-        if M.field != field:
-            raise errors.FieldMismatchError("matrices over mixed fields")
-        if M.rows != n or M.cols != m:
-            raise errors.ShapeError("matrices of mixed shapes")
-    return field, n, m
 
 
 def _check_instance(matrices: list[Matrix]) -> tuple[Field, int, int]:

@@ -267,18 +267,7 @@ class ExtensionField(Field):
     def element_from_json(self, obj):
         if not isinstance(obj, list) or len(obj) != self.k:
             raise errors.ParseError(f"{self!r} element must be a list of {self.k} strings, got {errors._excerpt(obj)}")
-        coeffs = []
-        for c in obj:
-            if not isinstance(c, str):
-                raise errors.ParseError(f"bad {self!r} coefficient: {errors._excerpt(c)}")
-            try:
-                v = int(c)
-            except ValueError:
-                raise errors.ParseError(f"bad {self!r} coefficient string: {errors._excerpt(c)}") from None
-            if not 0 <= v < self.p:
-                raise errors.ParseError(f"non-canonical {self!r} coefficient: {errors._excerpt(c)}")
-            coeffs.append(v)
-        return tuple(coeffs)
+        return tuple([self.base.element_from_json(c) for c in obj])
 
 
 @lru_cache(maxsize=None)
@@ -343,6 +332,10 @@ def _table_arithmetic(field: ExtensionField) -> tuple:
     return add, neg, mul, inv
 
 
+# The exponent of a decimal string that Fraction accepts, without its sign.
+_EXPONENT = re.compile(r"e[-+]?(\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
 class RationalField(Field):
     """The rational numbers with Fraction elements (always reduced, denominator > 0)."""
 
@@ -394,6 +387,17 @@ class RationalField(Field):
     def element_from_json(self, obj):
         if not isinstance(obj, str):
             raise errors.ParseError(f"rational element must be a string, got {errors._excerpt(obj)}")
+        # Fraction computes 10**exp for an exponent of any size; "1e100000000"
+        # takes minutes.
+        exp = _EXPONENT.search(obj)
+        if exp:
+            limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+            digits = exp[1].replace("_", "").lstrip("0")
+            if len(digits) > len(str(limit)) or int(digits or "0") > limit:
+                raise errors.ParseError(
+                    f"bad rational element string {errors._excerpt(obj)}: "
+                    f"its exponent is larger than the limit of {limit:,}"
+                )
         try:
             return Fraction(obj)
         except (ValueError, ZeroDivisionError):

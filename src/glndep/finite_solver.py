@@ -25,12 +25,11 @@ def solve_finite(matrices) -> Witness:
 
     The first m+1 matrices carry the dependence, with multipliers drawn from
     the full-rank subspace; any further matrices receive the zero multiplier.
+    Over an infinite field build_fullrank_basis raises InfiniteFieldError.
     """
     matrices = list(matrices)
     field, n, m = _check_instance(matrices)
     head = matrices[: m + 1]
-    if not field.is_finite:
-        raise errors.InfiniteFieldError("the kernel-method solver needs a finite field")
     modulus = build_fullrank_basis(field, n).modulus
 
     columns = _block_columns(field, modulus, head)

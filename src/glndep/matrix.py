@@ -178,6 +178,20 @@ def _check_shape(rows: int, cols: int) -> None:
         raise errors.ShapeError("matrix needs at least one column")
 
 
+def _one_field_and_shape(matrices: list[Matrix]) -> tuple[Field, int, int]:
+    """(field, n, m) of at least one matrix, all of one shape n x m over one field."""
+    if not matrices:
+        raise errors.ShapeError("need at least one matrix")
+    field = matrices[0].field
+    n, m = matrices[0].rows, matrices[0].cols
+    for M in matrices:
+        if M.field != field:
+            raise errors.FieldMismatchError("matrices over mixed fields")
+        if M.rows != n or M.cols != m:
+            raise errors.ShapeError("matrices of mixed shapes")
+    return field, n, m
+
+
 class RrefResult(errors._Record):
     __slots__ = ("rref", "pivot_cols", "rank")
 
@@ -474,15 +488,10 @@ def find_gl_transform(m1: Matrix, m2: Matrix) -> Matrix | None:
     [I | g^T].  Equal inputs produce the identity, and the transform onto the
     identity is the inverse.  The result is re-verified before returning.
     """
-    if m1.rows != m2.rows or m1.cols != m2.cols:
-        raise errors.ShapeError("matrices of mixed shapes")
-    if m1.field != m2.field:
-        raise errors.FieldMismatchError("matrices over mixed fields")
+    field, n, _ = _one_field_and_shape([m1, m2])
     reduced = rref(m1)
     if reduced.rref != rref(m2).rref:
         return None
-    field = m1.field
-    n = m1.rows
     p1 = complete_to_invertible(field, n, [[r[c] for r in m1.entries] for c in reduced.pivot_cols])
     p2 = complete_to_invertible(field, n, [[r[c] for r in m2.entries] for c in reduced.pivot_cols])
     work, _, _ = _gauss_jordan(field, [c1 + c2 for c1, c2 in zip(zip(*p1.entries), zip(*p2.entries))], n)

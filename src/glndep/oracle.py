@@ -12,9 +12,9 @@ from functools import lru_cache
 from itertools import product
 
 from . import errors
-from .certificate import Witness, _one_field_and_shape, verify_witness, witness_from_matrices
+from .certificate import Witness, verify_witness, witness_from_matrices
 from .fields import Field, field_to_json
-from .matrix import Matrix, _trusted, det
+from .matrix import Matrix, _one_field_and_shape, _trusted, det
 from .finite_solver import solve_finite
 
 DEFAULT_CAP = 10 ** 7

@@ -6,7 +6,9 @@ The subspace form of a witness is a family of vectors x_j^(i) in L_i, one per
 multiplier row, whose columnwise sums vanish and whose per-subspace span is
 either L_i (flag "full") or zero (flag "zero"), not all zero.  This module
 canonicalizes subspaces, converts between the two views, and verifies
-subspace witnesses independently of the solvers.
+subspace witnesses independently of the solvers.  A family's rules are the
+matrix layer's, applied to its representative matrices: one field, one
+ambient dimension, and no dimension above n.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from . import errors
 from .certificate import TAG_ZERO
 from .fields import Field, field_from_json, field_to_json
-from .matrix import Matrix, _check_rows, _trusted, rref, span_solve_many
+from .matrix import Matrix, _check_rows, _one_field_and_shape, _trusted, rref, span_solve_many
 from .oracle import brute_force_witness
 from .finite_solver import solve_finite
 from .rational_solver import solve_rational
@@ -94,6 +96,10 @@ class SubspaceWitness(errors._Record):
     __slots__ = ("field", "ambient", "n", "vectors", "flags")
 
     def __post_init__(self):
+        for name in ("ambient", "n"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} must be an int >= 1, got {errors._excerpt(value)}")
         if len(self.vectors) != len(self.flags) or not self.vectors:
             raise ValueError("witness needs one flag per subspace and at least one subspace")
         for flag in self.flags:
@@ -112,27 +118,20 @@ class SubspaceWitness(errors._Record):
 def solve_subspace_dependence(subspaces, n: int) -> SubspaceWitness | None:
     """Witness that the subspaces are GL(n)-dependent, or None.
 
-    With k >= m+1 subspaces the field-appropriate matrix solver always
-    succeeds on the canonical representative matrices.  With fewer subspaces
-    the answer can go either way; over a finite field the brute-force oracle
-    decides it under its default cap, while over the rationals fewer than m+1
-    subspaces raise TooFewMatricesError.
+    The family is checked through its canonical representative matrices:
+    representative_matrix refuses a dimension above n, then
+    matrix._one_field_and_shape an empty family, mixed fields or mixed
+    ambients.  With k >= m+1 subspaces the field-appropriate matrix solver
+    always succeeds on them.  With fewer the answer can go either way; over a
+    finite field the brute-force oracle decides it under its default cap,
+    while over the rationals fewer than m+1 subspaces raise
+    TooFewMatricesError.
     """
     if type(n) is not int or n < 1:
         raise ValueError(f"n must be an int >= 1, got {n}")
     subspaces = list(subspaces)
-    if not subspaces:
-        raise errors.ShapeError("need at least one subspace")
-    field = subspaces[0].field
-    m = subspaces[0].ambient
-    for i, L in enumerate(subspaces):
-        if L.field != field:
-            raise errors.FieldMismatchError("subspaces over mixed fields")
-        if L.ambient != m:
-            raise errors.ShapeError("subspaces of mixed ambient dimension")
-        if L.dim > n:
-            raise errors.DimensionTooLargeError(f"subspace {i} has dimension {L.dim} > n = {n}")
     reps = [representative_matrix(L, n) for L in subspaces]
+    field, _, m = _one_field_and_shape(reps)
     if len(subspaces) >= m + 1:
         witness = solve_finite(reps) if field.is_finite else solve_rational(reps)
     elif field.is_finite:
@@ -159,7 +158,9 @@ def verify_subspace_witness(subspaces, witness: SubspaceWitness) -> None:
 
     Conditions: every vector lies in its subspace; the vectors in each row
     position sum to zero; each group spans exactly its subspace ("full") or is
-    entirely zero ("zero"); and not every flag is "zero".
+    entirely zero ("zero"); and not every flag is "zero".  Like verify_witness
+    it calls only elimination routines: a group of vectors of L spans L
+    exactly when its rank is dim L.
     """
     subspaces = list(subspaces)
     if len(subspaces) != len(witness.vectors):
@@ -189,9 +190,8 @@ def verify_subspace_witness(subspaces, witness: SubspaceWitness) -> None:
         if flag == FLAG_ZERO:
             if any(e != zero for v in group for e in v):
                 raise SubspaceVerificationError("span", subspace=i, detail="zero flag on nonzero vectors")
-        else:
-            if Subspace.from_vectors(field, witness.ambient, group) != L:
-                raise SubspaceVerificationError("span", subspace=i, detail="span differs from the subspace")
+        elif rref(_trusted(field, group)).rank != L.dim:
+            raise SubspaceVerificationError("span", subspace=i, detail="span differs from the subspace")
 
 
 def subspace_to_json(subspace: Subspace) -> dict:

@@ -512,3 +512,41 @@ def test_bad_command_line_values_are_quoted_briefly(capsys, argv):
     assert "invalid" in err
     assert "Traceback" not in err
     assert len(err.encode()) < 1024
+
+
+@pytest.mark.parametrize("exponent", ["1e100000000", "1E+100_000_000", "-2e-100000000"])
+@pytest.mark.parametrize("command", ["solve", "verify", "subspace-solve"])
+def test_huge_rational_exponents_are_input_errors(tmp_path, command, exponent):
+    # Fraction computes 10**exp, so each of these ran for minutes.  In a child
+    # process, since that computation cannot be interrupted.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import glndep
+
+    field = {"kind": "rational"}
+    if command == "subspace-solve":
+        doc = {"field": field, "ambient": 1, "subspaces": [[[exponent]], [["1"]]]}
+    else:
+        matrix = {"field": field, "rows": 1, "cols": 1, "entries": [[exponent]]}
+        doc = {"field": field, "matrices": [matrix, matrix]}
+    inp = tmp_path / "input.json"
+    inp.write_text(json.dumps(doc))
+    argv = {
+        "solve": ["solve", "--field", "rational", "--input", str(inp)],
+        "verify": ["verify", "--instance", str(inp), "--witness", str(inp)],
+        "subspace-solve": ["subspace-solve", "--input", str(inp), "--n", "1"],
+    }[command]
+    src = str(Path(glndep.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "glndep.cli", *argv],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=10,
+    )
+    assert proc.returncode == 3
+    assert b"exponent" in proc.stderr
+    assert len(proc.stderr) < 1024

@@ -90,6 +90,7 @@ _JUNK = st.one_of(
     _HUGE,
     _HUGE.map(_text),
     st.sampled_from(["", "1/0", "0/5", "-1", "x", "9" * 5000, "1e9", "Infinity"]),
+    st.sampled_from(["1e100000000", "-1e-999999999", "0e123456789"]),
     st.lists(st.integers(-2, 2), max_size=3),
     st.just({}),
     st.just(DEEP),

@@ -537,3 +537,24 @@ def test_element_json_rejects_non_canonical():
         GF4.element_from_json(["1"])
     with pytest.raises(errors.ParseError):
         QQ.element_from_json("1/0")
+
+
+def test_rational_exponents_are_held_to_the_digit_limit():
+    assert [QQ.element_from_json(s) for s in ("1e3", "-2.5e-3", "3/4", "1E-4300", " 7e0_1 ")] == [
+        Fraction(1000), Fraction(-1, 400), Fraction(3, 4), Fraction(1, 10 ** 4300), Fraction(70)
+    ]
+    for text in ("1e4301", "0e999999999", "-1e-999999999", "1E+100_000_000", "1e" + "9" * 5000):
+        start = time.perf_counter()
+        with pytest.raises(errors.ParseError, match="exponent is larger than the limit of 4,300"):
+            QQ.element_from_json(text)
+        assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [["1", 1], ["1", "x"], ["1", "2"], ["1", "-1"], "10", ("1", "0"), ["1"], ["1", "0", "0"]],
+    ids=["non-string", "bad-string", "too-large", "negative", "string", "tuple", "short", "long"],
+)
+def test_extension_element_json_rejects_bad_coefficients_and_shapes(obj):
+    with pytest.raises(errors.ParseError):
+        GF4.element_from_json(obj)

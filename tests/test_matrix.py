@@ -275,6 +275,15 @@ def test_inverse():
     assert find_gl_transform(Matrix.from_rows(QQ, [[1, 1], [1, 1]]), Matrix.identity(QQ, 2)) is None
 
 
+def test_transform_refuses_mixed_fields_and_shapes():
+    with pytest.raises(errors.FieldMismatchError):
+        find_gl_transform(Matrix.identity(GF2, 2), Matrix.identity(GF3, 2))
+    with pytest.raises(errors.ShapeError):
+        find_gl_transform(Matrix.identity(GF3, 2), Matrix.from_rows(GF3, [[1, 0, 0], [0, 1, 0]]))
+    with pytest.raises(errors.ShapeError):
+        find_gl_transform(Matrix.identity(QQ, 2), Matrix.identity(QQ, 3))
+
+
 # span solving
 
 def test_span_solve_examples():

@@ -8,7 +8,7 @@ from itertools import product
 import pytest
 
 from conftest import random_invertible, random_matrix
-from glndep import errors
+from glndep import errors, subspaces
 from glndep.fields import ExtensionField, PrimeField, RationalField
 from glndep.matrix import Matrix, det, find_gl_transform, rref
 from glndep.subspaces import (
@@ -197,6 +197,28 @@ def test_dimension_gate():
         solve_subspace_dependence([plane, plane, plane], 1)
 
 
+def test_empty_family_is_refused():
+    with pytest.raises(errors.ShapeError):
+        solve_subspace_dependence([], 1)
+
+
+def test_family_over_mixed_fields_is_refused():
+    family = [line(GF2, (1, 0)), line(GF3, (1, 0)), line(GF2, (0, 1))]
+    with pytest.raises(errors.FieldMismatchError):
+        solve_subspace_dependence(family, 1)
+
+
+@pytest.mark.parametrize(
+    "field,k", [(GF2, 4), (GF2, 2), (QQ, 2)], ids=["gf2-solver", "gf2-oracle", "qq-too-few"]
+)
+def test_family_of_mixed_ambients_is_refused(field, k):
+    # m = 2 from the first subspace: k >= 3 subspaces go to the solver, fewer
+    # to the oracle over GF(2) and to the too-few refusal over QQ.
+    family = [line(field, (1, 0)), line(field, (0, 1, 0))] + [line(field, (1, 1))] * (k - 2)
+    with pytest.raises(errors.ShapeError):
+        solve_subspace_dependence(family, 1)
+
+
 @pytest.mark.parametrize("n", [0, -1])
 def test_n_below_one_is_refused(n):
     # With n = 0 a representative matrix would have no rows at all.
@@ -269,6 +291,31 @@ def test_verify_rejects_span_shrink():
     with pytest.raises(SubspaceVerificationError) as exc:
         verify_subspace_witness(spaces, shrunk)
     assert exc.value.reason == "span"
+
+
+def test_verify_checks_spans_by_rank_without_building_subspaces(monkeypatch):
+    spaces, witness = _plane_pair_witness()
+    zero = (QQ.zero, QQ.zero)
+    shrunk = SubspaceWitness(
+        QQ, 2, 2, ((witness.vectors[0][0], zero), (witness.vectors[1][0], zero)), witness.flags
+    )
+
+    def refuse(*args):
+        raise AssertionError("the verifier built a Subspace")
+
+    monkeypatch.setattr(subspaces.Subspace, "from_vectors", refuse)
+    verify_subspace_witness(spaces, witness)
+    with pytest.raises(SubspaceVerificationError) as exc:
+        verify_subspace_witness(spaces, shrunk)
+    assert exc.value.reason == "span"
+
+
+@pytest.mark.parametrize("ambient,n", [(2, 0), (0, 1), (2, -1), (2, True), (2.0, 1)])
+def test_witness_refuses_a_shape_below_one(ambient, n):
+    # With n = 0 two zero subspaces of QQ^2 had a "witness" of no vectors at all.
+    group = ((QQ.zero,) * int(ambient),) * max(int(n), 0)
+    with pytest.raises(ValueError, match="must be an int >= 1"):
+        SubspaceWitness(QQ, ambient, n, (group, group), (FLAG_FULL, FLAG_FULL))
 
 
 def test_verify_rejects_all_zero_flags():
