@@ -1,11 +1,14 @@
 """Witness certificates for GL(n)-dependence and their independent verifier.
 
-A witness for matrices M_1..M_k is a tuple of n x n multipliers g_1..g_k, each
-tagged "zero" or "inv", with not all zero and sum(g_i * M_i) == 0.  The verifier
-re-derives every tag (a zero-tagged entry must be the zero matrix, an
-inv-tagged entry must have nonzero determinant) and checks the sum exactly; it
-deliberately uses only the elimination primitives, never solver code, so it can
-serve as the trust anchor for every solver in the package.
+A witness for matrices M_1..M_k is its multipliers g_1..g_k: n x n matrices
+over one field, each zero or invertible, not all zero, with
+sum(g_i * M_i) == 0.  Whether g_i is zero is read off g_i; the "zero" and
+"inv" tags exist only in the JSON form, where witness_from_json checks the one
+claim the entries cannot carry (an inv-tagged entry is not the zero matrix).
+The verifier checks that every nonzero entry has nonzero determinant and that
+the sum vanishes exactly; it deliberately uses only the elimination
+primitives, never solver code, so it can serve as the trust anchor for every
+solver in the package.
 """
 
 from __future__ import annotations
@@ -35,38 +38,33 @@ class VerificationError(errors.Error):
 
 
 class Witness(errors._Record):
-    """Multipliers g_1..g_k (n x n matrices over field), each tagged zero or inv."""
+    """Multipliers g_1..g_k: at least one n x n matrix, all over one field."""
 
-    __slots__ = ("field", "n", "entries", "tags")
+    __slots__ = ("entries",)
 
     def __post_init__(self):
-        if len(self.entries) != len(self.tags) or not self.entries:
-            raise ValueError("witness needs one tag per entry and at least one entry")
-        for tag in self.tags:
-            if tag not in (TAG_ZERO, TAG_INVERTIBLE):
-                raise ValueError(f"unknown witness tag {tag!r}")
-        field, n = self.field, self.n
-        for g in self.entries:
-            if g.field != field:
-                raise errors.FieldMismatchError("witness entry over the wrong field")
-            entries = g.entries
-            if len(entries) != n or len(entries[0]) != n:
-                raise errors.ShapeError(f"witness entry must be {n}x{n}")
+        _, n, cols = _one_field_and_shape(self.entries)
+        if n != cols:
+            raise errors.ShapeError(f"witness entries must be square, got {n}x{cols}")
 
+    @property
+    def field(self) -> Field:
+        return self.entries[0].field
 
-def witness_from_matrices(field: Field, gs) -> Witness:
-    """Build a witness from multiplier matrices, deriving the tags."""
-    gs = tuple(gs)
-    tags = tuple([TAG_ZERO if g.is_zero() else TAG_INVERTIBLE for g in gs])  # from a list: see the note in matrix
-    return Witness(field, gs[0].rows, gs, tags)
+    @property
+    def n(self) -> int:
+        return self.entries[0].rows
+
+    @property
+    def tags(self) -> tuple:
+        return tuple([TAG_ZERO if g.is_zero() else TAG_INVERTIBLE for g in self.entries])
 
 
 def verify_witness(matrices, witness: Witness) -> None:
     """Check a witness against its matrices; raise VerificationError on failure.
 
-    Conditions, in order: shapes and fields conform; every tag matches its
-    entry (zero entries are exactly zero, claimed-invertible entries have
-    nonzero determinant); not all entries are zero; sum(g_i * M_i) == 0.
+    Conditions, in order: shapes and fields conform; every nonzero entry has
+    nonzero determinant; not all entries are zero; sum(g_i * M_i) == 0.
     """
     matrices = list(matrices)
     if len(matrices) != len(witness.entries):
@@ -83,15 +81,12 @@ def verify_witness(matrices, witness: Witness) -> None:
         if len(entries) != n or len(entries[0]) != m:
             raise VerificationError("shape-mismatch", detail=f"matrix is {len(entries)}x{len(entries[0])}")
     zero = field.zero
-    for i, (g, tag) in enumerate(zip(witness.entries, witness.tags)):
-        if tag == TAG_ZERO:
-            if not g.is_zero():
-                raise VerificationError("tag-mismatch", index=i, detail="zero tag on a nonzero entry")
-        else:
-            if det(g) == zero:
-                raise VerificationError("singular", index=i, detail="claimed-invertible entry is singular")
-    if all(tag == TAG_ZERO for tag in witness.tags):
+    nonzero = [(i, g) for i, g in enumerate(witness.entries) if not g.is_zero()]
+    if not nonzero:
         raise VerificationError("all-zero")
+    for i, g in nonzero:
+        if det(g) == zero:
+            raise VerificationError("singular", index=i, detail="claimed-invertible entry is singular")
     total = _weighted_sum(witness.entries, matrices)
     for r in range(n):
         for c in range(m):
@@ -100,14 +95,10 @@ def verify_witness(matrices, witness: Witness) -> None:
 
 
 def witness_to_json(witness: Witness) -> dict:
-    entries = []
-    for g, tag in zip(witness.entries, witness.tags):
-        if tag == TAG_ZERO:
-            if not g.is_zero():
-                raise ValueError("cannot serialize a zero-tagged nonzero entry")
-            entries.append({"tag": TAG_ZERO})
-        else:
-            entries.append({"tag": TAG_INVERTIBLE, "matrix": matrix_to_json(g)})
+    entries = [
+        {"tag": tag} if tag == TAG_ZERO else {"tag": tag, "matrix": matrix_to_json(g)}
+        for g, tag in zip(witness.entries, witness.tags)
+    ]
     return {"field": field_to_json(witness.field), "n": witness.n, "entries": entries}
 
 
@@ -122,7 +113,6 @@ def witness_from_json(obj) -> Witness:
     # The zero-tagged entries are built last, from an n that an inv-tagged
     # n x n entry has bounded by the size of the input.
     invertible = {}
-    tags = []
     for idx, e in enumerate(raw):
         if not isinstance(e, dict) or "tag" not in e:
             raise errors.ParseError(f"witness entry {idx} must be an object with a 'tag'")
@@ -136,12 +126,15 @@ def witness_from_json(obj) -> Witness:
             invertible[idx] = g
         elif tag != TAG_ZERO:
             raise errors.ParseError(f"witness entry {idx} has unknown tag {errors._excerpt(tag)}")
-        tags.append(tag)
     if not invertible:
         raise VerificationError("all-zero")
+    # The one claim of the JSON form that its entries cannot carry; checked
+    # after every entry has parsed, so a parse error still comes first.
+    for idx, g in invertible.items():
+        if g.is_zero():
+            raise VerificationError("singular", index=idx, detail="claimed-invertible entry is singular")
     zero = Matrix.zero(field, n, n)
-    entries = tuple(invertible.get(idx, zero) for idx in range(len(tags)))
-    return Witness(field, n, entries, tuple(tags))
+    return Witness(tuple(invertible.get(idx, zero) for idx in range(len(raw))))
 
 
 def instance_to_json(field: Field, matrices) -> dict:

@@ -32,7 +32,7 @@ class DependentInputError(Error):
 
 
 class TooLargeError(Error):
-    """An exhaustive enumeration exceeds the configured cap."""
+    """A size over a cap: an exhaustive enumeration, or a value with more digits than are written."""
 
 
 class TooFewMatricesError(Error):

@@ -114,9 +114,6 @@ class PrimeField(Field):
             raise ZeroDivisionError(f"inverse of zero in GF({self.p})")
         return pow(a, self.p - 2, self.p)
 
-    def from_int(self, n: int):
-        return n % self.p
-
     def elements(self):
         return iter(range(self.p))
 
@@ -245,9 +242,6 @@ class ExtensionField(Field):
         errors.check(len(out) <= self.k, "xgcd left a cofactor of degree >= k")
         out += [0] * (self.k - len(out))
         return tuple(out)
-
-    def from_int(self, n: int):
-        return (n % self.p,) + (0,) * (self.k - 1)
 
     def elements(self):
         for v in range(self.cardinality):
@@ -378,11 +372,15 @@ class RationalField(Field):
             raise ZeroDivisionError("inverse of zero in QQ")
         return 1 / a
 
-    def from_int(self, n: int):
-        return Fraction(n)
-
     def element_to_json(self, a) -> str:
-        return str(a)
+        # str refuses an int of more digits than sys.get_int_max_str_digits(),
+        # and element_from_json would refuse the same digits when read back.
+        try:
+            return str(a)
+        except ValueError:
+            raise errors.TooLargeError(
+                f"a rational value has more digits than the limit of {sys.get_int_max_str_digits():,}"
+            ) from None
 
     def element_from_json(self, obj):
         if not isinstance(obj, str):

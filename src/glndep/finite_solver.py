@@ -15,7 +15,7 @@ column j equal to x^j c_i(x) mod f.
 from __future__ import annotations
 
 from . import errors
-from .certificate import Witness, _check_instance, witness_from_matrices
+from .certificate import Witness, _check_instance
 from .fullrank import _block_columns, build_fullrank_basis
 from .matrix import Matrix, _trusted, kernel_basis
 
@@ -40,4 +40,4 @@ def solve_finite(matrices) -> Witness:
     shifts = _block_columns(field, modulus, cs)
     gs = [_trusted(field, tuple(list(zip(*shifts[i * n : (i + 1) * n])))) for i in range(m + 1)]
     gs += [Matrix.zero(field, n, n)] * (len(matrices) - m - 1)
-    return witness_from_matrices(field, gs)
+    return Witness(tuple(gs))

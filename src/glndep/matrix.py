@@ -2,7 +2,8 @@
 
 Matrices are immutable row-major tuples of canonical field elements; a vector
 is a plain tuple of them.  RREF, rank, kernel, determinant, span solving and
-the GL(n) transform all read one Gauss-Jordan pass.  Pivoting is always
+the GL(n) transform all read one Gauss-Jordan pass; span_solve answers every
+target it is given over one elimination of the generators.  Pivoting is always
 "first nonzero", never by magnitude, so every result is deterministic and
 reproducible.
 
@@ -415,27 +416,15 @@ def det(matrix: Matrix):
     return factor if len(pivot_cols) == n else matrix.field.zero
 
 
-def span_solve(field: Field, target, generators):
-    """Express target as a combination of the generators, or None.
-
-    Returns the canonical coefficient list (free variables set to zero in the
-    reduced system), so repeated calls with the same input give identical
-    expansions.  Entries may be anything field.element accepts.
-    """
-    element = field.element
-    gens = [tuple(map(element, g)) for g in generators]
-    return span_solve_many(field, [tuple(map(element, target))], gens)[0]
-
-
-def span_solve_many(field: Field, targets, generators) -> list:
-    """span_solve for every target, over one elimination of the generators.
+def span_solve(field: Field, targets, generators) -> list:
+    """Express each target as a combination of the generators, over one elimination.
 
     Takes tuples of canonical elements of field, as the rows of a Matrix or
-    the vectors of a Subspace hold them; span_solve is the entry point for
-    anything else.  Eliminates [generators | targets] as columns with pivots
-    only in the generator columns.  A target lies in the span iff its column
-    is zero below the generator rank; its canonical coefficients are read from
-    the pivot rows.  Returns one coefficient list (or None) per target.
+    the vectors of a Subspace hold them.  Eliminates [generators | targets]
+    as columns with pivots only in the generator columns.  A target lies in
+    the span iff its column is zero below the generator rank; its canonical
+    coefficients (free variables set to zero) are read from the pivot rows.
+    Returns one coefficient list, or None, per target.
     """
     gens = list(generators)
     columns = gens + list(targets)

@@ -12,7 +12,7 @@ from functools import lru_cache
 from itertools import product
 
 from . import errors
-from .certificate import Witness, verify_witness, witness_from_matrices
+from .certificate import Witness, verify_witness
 from .fields import Field, field_to_json
 from .matrix import Matrix, _one_field_and_shape, _trusted, det
 from .finite_solver import solve_finite
@@ -94,7 +94,7 @@ def _first_witness(field: Field, pool, tables) -> Witness | None:
             if idx == 0 and all(p == 0 for p in prefix):
                 continue
             chosen = prefix + (idx,)
-            return witness_from_matrices(field, [pool[i] for i in chosen])
+            return Witness(tuple([pool[i] for i in chosen]))
     return None
 
 

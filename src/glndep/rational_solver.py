@@ -18,14 +18,15 @@ beyond the first m+1 receive the zero multiplier):
   expressing the rows of M_j over its own rows, which preserves the sum.  Each
   determinant that must stay nonzero is a nonzero polynomial of degree at most
   n in x, so scanning x = 1, 2, ... finds a good value within
-  n*(number of conditions) + 1 steps.  The row expansions come from the
-  outside-span scan, and the invertible set of each round from the fresh
-  determinants of the round before.
+  n*(number of conditions) + 1 steps, and x is returned as a Fraction.  The
+  row expansions come from the outside-span scan, one matrix.span_solve per
+  matrix, and the invertible set of each round from the fresh determinants
+  of the round before.
 
 The steps pass plain lists of multiplier matrices.  Only the two public entry
-points check the instance and wrap the result in a Witness; every matrix the
-recursion builds is assembled from already validated entries (see
-matrix._trusted).
+points check the instance and wrap the multipliers in a Witness, which reads
+whether each one is zero off the matrix itself; every matrix the recursion
+builds is assembled from already validated entries (see matrix._trusted).
 
 All choices (kernel vectors, span expansions, scan order, smallest bad index
 first) are canonical, so witnesses are reproducible byte for byte.
@@ -40,8 +41,10 @@ run under python -O.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from . import errors
-from .certificate import Witness, _check_instance, witness_from_matrices
+from .certificate import Witness, _check_instance
 from .fields import Field, RationalField
 from .matrix import (
     Matrix,
@@ -54,7 +57,7 @@ from .matrix import (
     find_gl_transform,
     kernel_basis,
     rref,
-    span_solve_many,
+    span_solve,
 )
 
 
@@ -63,8 +66,8 @@ def solve_rational(matrices) -> Witness:
     matrices = list(matrices)
     if matrices and not isinstance(matrices[0].field, RationalField):
         raise ValueError("solve_rational expects rational matrices; see solve_finite / solve_unsafe_finite")
-    field, _, _ = _check_instance(matrices)
-    return witness_from_matrices(field, _solve_entry(matrices))
+    _check_instance(matrices)
+    return Witness(tuple(_solve_entry(matrices)))
 
 
 def solve_unsafe_finite(matrices) -> Witness:
@@ -85,7 +88,7 @@ def solve_unsafe_finite(matrices) -> Witness:
             f"field of size {field.cardinality} is too small for the recursive mode "
             f"(need > {n * (m + 2)}); use solve_finite"
         )
-    return witness_from_matrices(field, _solve_entry(matrices))
+    return Witness(tuple(_solve_entry(matrices)))
 
 
 def _solve_entry(matrices: list[Matrix]) -> list[Matrix]:
@@ -168,7 +171,7 @@ def _expand_rows(matrices, j: int) -> list:
     matrices in order), or None when that row lies outside their span.
     """
     generators = [row for i, M in enumerate(matrices) if i != j for row in M.entries]
-    return span_solve_many(matrices[0].field, matrices[j].entries, generators)
+    return span_solve(matrices[0].field, matrices[j].entries, generators)
 
 
 def find_row_outside_span(matrices) -> tuple[int | None, list]:
@@ -281,7 +284,7 @@ def choose_correction_scalar(field: Field, conditions):
                 len(_rational_gauss_jordan([[a + v * b for a, b in zip(s, t)] for s, t in rows], n, False)[1]) == n
                 for rows in pencils
             ):
-                return field.from_int(v)
+                return Fraction(v)
     raise errors.ExhaustedBoundError(
         f"no valid scalar among the candidates for {len(conditions)} conditions of degree <= {n}"
     )

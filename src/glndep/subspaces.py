@@ -14,9 +14,8 @@ ambient dimension, and no dimension above n.
 from __future__ import annotations
 
 from . import errors
-from .certificate import TAG_ZERO
 from .fields import Field, field_from_json, field_to_json
-from .matrix import Matrix, _check_rows, _one_field_and_shape, _trusted, rref, span_solve_many
+from .matrix import Matrix, _check_rows, _one_field_and_shape, _trusted, rref, span_solve
 from .oracle import brute_force_witness
 from .finite_solver import solve_finite
 from .rational_solver import solve_rational
@@ -144,10 +143,9 @@ def solve_subspace_dependence(subspaces, n: int) -> SubspaceWitness | None:
         )
     groups = []
     flags = []
-    for g, tag, rep in zip(witness.entries, witness.tags, reps):
-        product = g * rep
-        groups.append(tuple(product.entries))
-        flags.append(FLAG_ZERO if tag == TAG_ZERO else FLAG_FULL)
+    for g, rep in zip(witness.entries, reps):
+        groups.append((g * rep).entries)
+        flags.append(FLAG_ZERO if g.is_zero() else FLAG_FULL)
     result = SubspaceWitness(field, m, n, tuple(groups), tuple(flags))
     verify_subspace_witness(subspaces, result)
     return result
@@ -176,7 +174,7 @@ def verify_subspace_witness(subspaces, witness: SubspaceWitness) -> None:
     if all(flag == FLAG_ZERO for flag in witness.flags):
         raise SubspaceVerificationError("all-zero")
     for i, (L, group) in enumerate(zip(subspaces, witness.vectors)):
-        coords = span_solve_many(field, group, L.basis)
+        coords = span_solve(field, group, L.basis)
         if None in coords:
             raise SubspaceVerificationError("membership", subspace=i, vector=coords.index(None))
     zero = field.zero

@@ -44,7 +44,8 @@ def _small_element(rng, field, bound):
     # An extension field draws from all of its elements, not just its prime subfield.
     if isinstance(field, ExtensionField):
         return field.element_from_index(rng.randrange(field.cardinality))
-    return field.from_int(rng.randint(-bound, bound))
+    v = rng.randint(-bound, bound)
+    return Fraction(v) if field.cardinality is None else v % field.p
 
 
 def golden_matrix(rng, field, n, m, kind):

@@ -83,6 +83,19 @@ def test_verify_refuses_an_all_zero_witness_of_huge_n(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_verify_refuses_an_inv_tag_on_the_zero_matrix(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    out = tmp_path / "w.json"
+    write_instance(inst, GF2, unit_pair(GF2))
+    assert main(["solve", "--field", "prime:2", "--input", str(inst), "--output", str(out)]) == 0
+    obj = json.loads(out.read_text())
+    obj["entries"][0]["matrix"]["entries"] = [["0", "0"], ["0", "0"]]
+    out.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main(["verify", "--instance", str(inst), "--witness", str(out)]) == 1
+    assert capsys.readouterr().err == "verification failed: singular at entry 0: claimed-invertible entry is singular\n"
+
+
 def test_field_flag_must_match_instance(tmp_path):
     inst = tmp_path / "inst.json"
     write_instance(inst, GF2, unit_pair(GF2))
@@ -550,3 +563,35 @@ def test_huge_rational_exponents_are_input_errors(tmp_path, command, exponent):
     assert proc.returncode == 3
     assert b"exponent" in proc.stderr
     assert len(proc.stderr) < 1024
+
+
+def test_a_rational_output_over_the_digit_limit_is_refused_in_glndeps_words(tmp_path):
+    # "1e4300" passes the input rules, but the multiplier -1/10^4300 has a
+    # denominator of more digits than str() writes; the interpreter's message
+    # used to reach stderr.  In a child process, so the digit limit is the default one.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import glndep
+
+    field = {"kind": "rational"}
+    doc = {"field": field, "matrices": [
+        {"field": field, "rows": 1, "cols": 1, "entries": [[value]]} for value in ("1e4300", "1")
+    ]}
+    inp, out = tmp_path / "input.json", tmp_path / "w.json"
+    inp.write_text(json.dumps(doc))
+    src = str(Path(glndep.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "glndep.cli", "solve", "--field", "rational", "--input", str(inp), "--output", str(out)],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=30,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == b"error: a rational value has more digits than the limit of 4,300\n"
+    assert b"set_int_max_str_digits" not in proc.stderr
+    assert len(proc.stderr) < 1024
+    assert not out.exists()

@@ -304,12 +304,6 @@ def test_huge_ints_are_described_by_their_size():
         GF7.validate(10 ** 5000)
 
 
-def test_from_int_embedding():
-    assert GF7.from_int(9) == 2
-    assert GF4.from_int(3) == (1, 0)
-    assert QQ.from_int(3) == Fraction(3)
-
-
 # field axioms (property-based)
 
 def _gf_elements(field):

@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 
 from glndep import errors
-from glndep.certificate import verify_witness, witness_from_matrices
+from glndep.certificate import Witness, verify_witness
 from glndep.fields import ExtensionField, PrimeField, RationalField
 from glndep.matrix import Matrix, det
 from glndep.oracle import (
@@ -81,7 +81,7 @@ def _reference_search(matrices):
         for idx, m in zip(combo, matrices):
             total = total + pool[idx] * m
         if total.is_zero():
-            return witness_from_matrices(field, [pool[i] for i in combo])
+            return Witness(tuple(pool[i] for i in combo))
     return None
 
 

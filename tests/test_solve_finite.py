@@ -81,7 +81,7 @@ def test_multipliers_lie_in_the_subspace():
         verify_witness(mats, witness)
         for g in witness.entries:
             flat = tuple(e for row in g.entries for e in row)
-            assert span_solve(GF3, flat, flat_basis) is not None
+            assert span_solve(GF3, [flat], flat_basis) != [None]
 
 
 def test_extra_matrices_get_zero_multipliers():

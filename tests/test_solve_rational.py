@@ -22,7 +22,7 @@ from conftest import (
     scaled,
 )
 from glndep import errors, rational_solver
-from glndep.certificate import TAG_INVERTIBLE, TAG_ZERO, verify_witness, witness_from_matrices, witness_to_json
+from glndep.certificate import TAG_INVERTIBLE, TAG_ZERO, Witness, verify_witness, witness_to_json
 from glndep.fields import ExtensionField, PrimeField, RationalField
 from glndep.matrix import Matrix, det, kernel_basis
 from glndep.rational_solver import (
@@ -131,7 +131,7 @@ def test_column_pair_scaling():
     w1 = qmat([[2], [0]])
     w2 = qmat([[1], [0]])
     gs = solve_column_pair(w1, w2)
-    verify_witness([w1, w2], witness_from_matrices(QQ, gs))
+    verify_witness([w1, w2], Witness(tuple(gs)))
     assert gs[0] * w1 == w2
     assert gs[1] == -Matrix.identity(QQ, 2)
     assert det(gs[0]) != 0
@@ -504,7 +504,7 @@ def test_rational_solver_postconditions_are_pinned():
 
 
 def test_solver_does_not_revalidate_entries():
-    # Entries are validated where they enter (Matrix constructors, span_solve);
+    # Entries are validated where they enter (Matrix constructors, JSON parsing);
     # the solver and its span solving pass canonical elements along.
     rng = random.Random(97)
     instances = [[golden_matrix(rng, QQ, n, m, "rank1") for _ in range(m + 1)] for n, m in [(2, 2), (3, 2), (3, 3)]]
