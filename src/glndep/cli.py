@@ -98,14 +98,12 @@ def _load_instance(args, field):
                 f"--field selects {field!r} but the instance is over {file_field!r}"
             )
         return matrices
-    if args.random is not None:
-        n, m, k = args.random
-        _check_size("--random N M K", n * m * k)
-        matrices = _random_instance(field, n, m, k, args.seed)
-        if args.save_instance:
-            _emit(instance_to_json(field, matrices), args.save_instance)
-        return matrices
-    raise ValueError("either --input or --random N M K is required")
+    n, m, k = args.random
+    _check_size("--random N M K", n * m * k)
+    matrices = _random_instance(field, n, m, k, args.seed)
+    if args.save_instance:
+        _emit(instance_to_json(field, matrices), args.save_instance)
+    return matrices
 
 
 def _cmd_solve(args) -> int:
@@ -195,10 +193,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve an instance and write a verified witness")
     p.add_argument("--field", required=True, help="prime:p | ext:p:k | rational")
-    p.add_argument("--input", help="instance JSON path")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--input", help="instance JSON path")
+    source.add_argument("--random", nargs=3, type=int, metavar=("N", "M", "K"), help="generate a random instance")
     p.add_argument("--output", help="witness JSON path (stdout if omitted)")
     p.add_argument("--unsafe-finite", action="store_true", help="recursive algorithm on a finite field")
-    p.add_argument("--random", nargs=3, type=int, metavar=("N", "M", "K"), help="generate a random instance")
     p.add_argument("--seed", type=int, default=0, help="seed for --random")
     p.add_argument("--save-instance", help="also write the generated instance JSON here")
     p.set_defaults(func=_cmd_solve)

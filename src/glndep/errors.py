@@ -27,10 +27,6 @@ class ShapeError(Error):
     """Matrix or vector dimensions do not conform."""
 
 
-class DependentInputError(Error):
-    """Vectors required to be linearly independent are not."""
-
-
 class TooLargeError(Error):
     """A size over a cap: an exhaustive enumeration, or a value with more digits than are written."""
 

@@ -8,11 +8,11 @@ target it is given over one elimination of the generators.  Pivoting is always
 reproducible.
 
 Over QQ, elimination and products run on Python ints.  Elimination clears
-each row of denominators and normalises the reduced rows with one Fraction per
-entry at the end; every integer row is a nonzero multiple of the row that
-elimination on Fractions would hold.  A product clears the rows of its left
-factor and the columns of its right factor once, and makes one Fraction per
-entry from an integer dot product.  So the results are the same values.  The
+each row of denominators, divides exactly by the previous pivot and makes one
+Fraction per entry at the end; every integer row is a nonzero multiple of the
+row that elimination on Fractions would hold.  A product clears the rows of
+its left factor and the columns of its right factor once, and makes one
+Fraction per entry from an integer dot product.  So the results are the same values.  The
 correction step of rational_solver also runs on integer rows: its scalar scan
 eliminates cleared row pairs (see _integer_row_pairs), and its multiplier
 updates a + c*b make one Fraction per entry (see _add_scaled).  Other sums
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from . import errors
 from .fields import Field, field_from_json, field_to_json
@@ -316,33 +316,31 @@ def _rational_product(aent, bent) -> tuple:
 
 
 def _rational_gauss_jordan(rows, limit: int, normalise: bool):
-    """_gauss_jordan over QQ, fraction-free on primitive integer rows (Bareiss 1968).
+    """_gauss_jordan over QQ, fraction-free with exact division (Bareiss 1968).
 
     Each row (of Fractions, or of ints, whose denominator is 1) is cleared of
-    denominators and divided by its content, the gcd of its entries.  A row
-    update is pv*row - c*pivot_row, again divided by its content, so every
-    row stays a nonzero multiple of the row the Fraction loop holds: the same
-    entries are zero, and the pivots and swaps are the same.  With normalise,
-    each pivot row is divided by its pivot with one Fraction per entry, which
-    gives the Fraction loop's row; the rows below the rank are returned up to
-    a nonzero scale (callers only test them for zero).
-
-    The determinant factor follows det(rows) = (num / den) * det(work), kept
-    up to date as the rows are scaled, divided and swapped; at the end the
-    pivots of work are its only nonzero entries in the pivot columns.
+    denominators once; den is the product of those denominators.  At a pivot
+    pv every other row becomes (pv*row - c*pivot_row) // prev, prev being the
+    previous pivot (1 at first), also when c is zero.  By Sylvester's
+    identity every entry is then a minor of the cleared matrix, so each
+    division is exact, and each row is a nonzero multiple of the row the
+    Fraction loop holds: the same entries are zero, and the pivots and swaps
+    are the same.  Every pivot row ends holding the last pivot prev at its
+    pivot column, so with normalise the pivot rows are divided by prev, one
+    Fraction per entry, which gives the Fraction loop's rows; the rows below
+    the rank stay Fractions up to a nonzero scale (callers test them for
+    zero).  For a full-rank square matrix prev is the cleared determinant up
+    to the swaps' sign, so the factor is sign * prev / den.
     """
     work = []
-    num = den = 1
+    den = 1
     for row in rows:
         ints, d = _integer_row(row)
-        g = gcd(*ints)
-        if g > 1:
-            ints = [e // g for e in ints]
-            num *= g
         den *= d
         work.append(ints)
     nrows = len(work)
     pivot_cols = []
+    prev = sign = 1
     for col in range(limit):
         pr = len(pivot_cols)
         if pr == nrows:
@@ -352,31 +350,22 @@ def _rational_gauss_jordan(rows, limit: int, normalise: bool):
             continue
         if pivot != pr:
             work[pr], work[pivot] = work[pivot], work[pr]
-            num = -num
+            sign = -sign
         src = work[pr]
         pv = src[col]
         for r, row in enumerate(work):
             c = row[col]
-            if r != pr and c:
-                row = [pv * e - c * s for e, s in zip(row, src)]
-                den *= pv
-                g = gcd(*row)
-                if g > 1:
-                    row = [e // g for e in row]
-                    num *= g
-                work[r] = row
+            if c and r != pr:
+                work[r] = [(pv * e - c * s) // prev for e, s in zip(row, src)]
+            elif r != pr:
+                work[r] = [pv * e // prev for e in row]
+        prev = pv
         pivot_cols.append(col)
-    rank = len(pivot_cols)
-    z = Fraction(0)
-    factor = z
-    if rank == nrows:
-        for t, pc in enumerate(pivot_cols):
-            num *= work[t][pc]
-        factor = Fraction(num, den)
     if normalise:
-        pivots = [work[t][pc] for t, pc in enumerate(pivot_cols)] + [1] * (nrows - rank)
-        work = [[Fraction(e, pv) if e else z for e in row] for row, pv in zip(work, pivots)]
-    return work, tuple(pivot_cols), factor
+        z = Fraction(0)
+        rank = len(pivot_cols)
+        work = [[Fraction(e, prev if t < rank else 1) if e else z for e in row] for t, row in enumerate(work)]
+    return work, tuple(pivot_cols), Fraction(sign * prev, den)
 
 
 def rref(matrix: Matrix) -> RrefResult:
@@ -408,7 +397,8 @@ def kernel_basis(matrix: Matrix) -> list[tuple]:
 
 
 def det(matrix: Matrix):
-    """Exact determinant: the pivot product of the elimination, signed by its row swaps."""
+    """Exact determinant, zero below full rank: the pivot product signed by the row
+    swaps, over QQ the signed last pivot over the rows' denominators (see _rational_gauss_jordan)."""
     n, cols = matrix.rows, matrix.cols
     if n != cols:
         raise errors.ShapeError(f"determinant of a {n}x{cols} matrix")
@@ -446,33 +436,15 @@ def span_solve(field: Field, targets, generators) -> list:
     return out
 
 
-def complete_to_invertible(field: Field, n: int, vectors) -> Matrix:
-    """Extend independent height-n columns to an invertible n x n matrix.
-
-    The inputs stay as the leading columns; the remaining columns are the
-    standard basis vectors with the smallest indices that keep independence.
-    Both are the pivot columns of one elimination of [inputs | I].
-    """
-    _check_shape(n, n)
-    cols = [tuple([field.element(e) for e in v]) for v in vectors]
-    for c in cols:
-        if len(c) != n:
-            raise errors.ShapeError(f"expected height-{n} vectors")
-    s = len(cols)
-    units = [tuple([field.one if t == idx else field.zero for t in range(n)]) for idx in range(n)]
-    _, pivot_cols, _ = _gauss_jordan(field, zip(*cols, *units), s + n)
-    if pivot_cols[:s] != tuple(range(s)):
-        raise errors.DependentInputError("input vectors are linearly dependent")
-    return _trusted(field, tuple(list(zip(*cols, *[units[p - s] for p in pivot_cols[s:]]))))
-
-
 def find_gl_transform(m1: Matrix, m2: Matrix) -> Matrix | None:
     """An invertible g with g * m1 == m2, or None when the row spaces differ.
 
     Both matrices are written as coordinate matrices over the shared canonical
     row basis, the nonzero rows of their common RREF; a row's coordinates are
-    its entries at the pivot columns.  Completing those coordinate columns to
-    invertible p1 and p2, g is the one solution of g * p1 == p2: eliminating
+    its entries at the pivot columns.  Those coordinate columns are completed
+    to invertible p1 and p2 by the standard basis vectors of smallest index
+    that keep them independent, the pivot columns of one elimination of
+    [columns | I].  g is the one solution of g * p1 == p2: eliminating
     the rows of [p1^T | p2^T] with pivots in the first n columns leaves
     [I | g^T].  Equal inputs produce the identity, and the transform onto the
     identity is the inverse.  The result is re-verified before returning.
@@ -481,9 +453,15 @@ def find_gl_transform(m1: Matrix, m2: Matrix) -> Matrix | None:
     reduced = rref(m1)
     if reduced.rref != rref(m2).rref:
         return None
-    p1 = complete_to_invertible(field, n, [[r[c] for r in m1.entries] for c in reduced.pivot_cols])
-    p2 = complete_to_invertible(field, n, [[r[c] for r in m2.entries] for c in reduced.pivot_cols])
-    work, _, _ = _gauss_jordan(field, [c1 + c2 for c1, c2 in zip(zip(*p1.entries), zip(*p2.entries))], n)
+    s = reduced.rank
+    units = [tuple([field.one if t == idx else field.zero for t in range(n)]) for idx in range(n)]
+    completed = []
+    for m in (m1, m2):
+        cols = [tuple([r[c] for r in m.entries]) for c in reduced.pivot_cols]
+        _, pivot_cols, _ = _gauss_jordan(field, zip(*cols, *units), s + n, normalise=False)
+        errors.check(pivot_cols[:s] == tuple(range(s)), "the coordinate columns are dependent")
+        completed.append(cols + [units[p - s] for p in pivot_cols[s:]])
+    work, _, _ = _gauss_jordan(field, [c1 + c2 for c1, c2 in zip(*completed)], n)
     g = _trusted(field, tuple(list(zip(*[row[n:] for row in work]))))
     errors.check(det(g) != field.zero and g * m1 == m2, "the transform is singular or misses m2")
     return g

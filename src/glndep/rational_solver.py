@@ -20,8 +20,8 @@ beyond the first m+1 receive the zero multiplier):
   n in x, so scanning x = 1, 2, ... finds a good value within
   n*(number of conditions) + 1 steps, and x is returned as a Fraction.  The
   row expansions come from the outside-span scan, one matrix.span_solve per
-  matrix, and the invertible set of each round from the fresh determinants
-  of the round before.
+  matrix; the first invertible set is read off the diagonal multipliers'
+  entries, and each later one from the fresh determinants of the round before.
 
 The steps pass plain lists of multiplier matrices.  Only the two public entry
 points check the instance and wrap the multipliers in a Witness, which reads
@@ -121,7 +121,7 @@ def _solve_core(matrices: list[Matrix]) -> list[Matrix]:
         for i in range(m + 1)
     ]
     errors.check(_weighted_sum(gs, matrices).is_zero(), "the row-dependence multipliers do not sum to zero")
-    good = frozenset(i for i, g in enumerate(gs) if det(g) != zero)
+    good = frozenset(i for i in range(m + 1) if all(dep[i] != zero for dep in deps))
     if n == 1 or len(good) == m + 1:
         return gs
 

@@ -116,6 +116,12 @@ def test_usage_errors(tmp_path):
     assert main(["frobnicate"]) == 2
     assert main(["solve"]) == 2  # missing --field
     assert main(["solve", "--field", "prime:2"]) == 2  # neither --input nor --random
+    # both: --random is not dropped in favour of --input, and nothing is written
+    inst, saved = tmp_path / "inst.json", tmp_path / "inst2.json"
+    write_instance(inst, GF2, unit_pair(GF2))
+    assert main(["solve", "--field", "prime:2", "--input", str(inst), "--random", "2", "2", "3",
+                 "--save-instance", str(saved)]) == 2
+    assert not saved.exists()
 
 
 def test_random_self_test(tmp_path):

@@ -1,5 +1,6 @@
-"""Elimination kernels: RREF, kernel, determinant, span solving, completion."""
+"""Elimination kernels: RREF, kernel, determinant, span solving, the GL(n) transform."""
 
+import itertools
 import random
 from fractions import Fraction
 from unittest import mock
@@ -13,7 +14,6 @@ from glndep import errors, matrix as matrix_module
 from glndep.fields import ExtensionField, PrimeField, RationalField
 from glndep.matrix import (
     Matrix,
-    complete_to_invertible,
     det,
     find_gl_transform,
     kernel_basis,
@@ -99,9 +99,7 @@ def test_every_public_constructor_rejects_empty_shapes(entries):
         Matrix(GF2, entries)
     with pytest.raises(errors.ShapeError):
         Matrix.from_rows(GF2, rows)
-    # n = 0, and zero-width spanning vectors: both build their matrix unvalidated
-    with pytest.raises(errors.ShapeError):
-        complete_to_invertible(GF2, 0, rows)
+    # zero-width spanning vectors: they build their matrix unvalidated
     with pytest.raises(errors.ShapeError):
         Subspace.from_vectors(GF2, 0, rows)
     obj = {"field": {"kind": "prime", "p": 2}, "rows": len(rows), "cols": len(rows[0]) if rows else 0, "entries": rows}
@@ -353,31 +351,13 @@ def test_span_solve_validates_its_entries():
         span_solve(QQ, [(one, two)], [(one, two, three)])
 
 
-# completion to an invertible matrix
+# completion of the coordinate columns inside find_gl_transform
 
-def test_complete_examples():
-    assert complete_to_invertible(QQ, 2, [(1, 0)]) == Matrix.identity(QQ, 2)
-    assert complete_to_invertible(QQ, 2, [(0, 1)]) == Matrix.from_rows(
-        QQ, [[0, 1], [1, 0]]
-    )
-    assert complete_to_invertible(QQ, 2, []) == Matrix.identity(QQ, 2)
-
-
-def test_complete_keeps_inputs_as_leading_columns():
-    rng = random.Random(29)
-    for field in (GF3, QQ):
-        for _ in range(20):
-            n = rng.randint(1, 4)
-            m = random_invertible(rng, field, n)
-            cols = list(zip(*m.entries))[: rng.randint(0, n)]
-            completed = complete_to_invertible(field, n, cols)
-            assert det(completed) != field.zero
-            assert list(zip(*completed.entries))[: len(cols)] == cols
-
-
-def test_complete_rejects_dependent_input():
-    with pytest.raises(errors.DependentInputError):
-        complete_to_invertible(QQ, 2, [(1, 0), (2, 0)])
+def test_transform_completes_with_the_smallest_unit_vectors():
+    # (1, 1) is completed by e1 to p1 = [[1, 1], [1, 0]], and (1, 0) by e2 to
+    # p2 = I, so g = p1^-1; completing (1, 1) by e2 would give [[1, 0], [-1, 1]].
+    g = find_gl_transform(Matrix.from_rows(QQ, [[1], [1]]), Matrix.from_rows(QQ, [[1], [0]]))
+    assert g == Matrix.from_rows(QQ, [[0, 1], [1, -1]])
 
 
 # QQ elimination runs on integers, and finite-field elimination skips the
@@ -420,17 +400,21 @@ def _reference_product(a, b):
 
 
 def _on_fractions(fn, *args):
-    """fn(*args) with the module's elimination replaced by the reference;
-    an expected refusal is returned as its exception type."""
+    """fn(*args) with the module's elimination replaced by the reference."""
     with mock.patch.object(matrix_module, "_gauss_jordan", _reference_gauss_jordan):
-        return _outcome(fn, *args)
-
-
-def _outcome(fn, *args):
-    try:
         return fn(*args)
-    except (ValueError, errors.DependentInputError) as exc:
-        return type(exc)
+
+
+def _leibniz_det(m):
+    """sum over permutations s of sign(s) * prod_i m[i][s(i)], on Fractions."""
+    total = Fraction(0)
+    for perm in itertools.permutations(range(m.rows)):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for row, c in zip(m.entries, perm):
+            term *= row[c]
+        total += term
+    return total
 
 
 def _assert_fractions(vectors):
@@ -471,6 +455,7 @@ def _qq_matrices(draw, rows=st.integers(1, 6), cols=st.integers(1, 7), square=Fa
 def test_qq_det_and_inverse_match_fraction_reference(m):
     d = det(m)
     assert d == _on_fractions(det, m)
+    assert d == _leibniz_det(m)
     assert d == 0 or rref(m).rank == m.rows
     QQ.validate(d)
     ident = Matrix.identity(QQ, m.rows)
@@ -490,11 +475,6 @@ def test_qq_elimination_matches_fraction_reference(m, data):
     kernel = kernel_basis(m)
     assert kernel == _on_fractions(kernel_basis, m)
     _assert_fractions(kernel)
-    # the rows of m as height-cols vectors: dependent ones are refused
-    completed = _outcome(complete_to_invertible, QQ, m.cols, m.entries)
-    assert completed == _on_fractions(complete_to_invertible, QQ, m.cols, m.entries)
-    if isinstance(completed, Matrix):
-        _assert_fractions(completed.entries)
     # targets inside the row span (small combinations, zero) and mostly outside it
     coeffs = [data.draw(st.integers(-2, 2)) for _ in range(m.rows)]
     inside = tuple(sum((c * e for c, e in zip(coeffs, col)), Fraction(0)) for col in zip(*m.entries))
