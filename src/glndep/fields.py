@@ -4,7 +4,9 @@ Elements are plain Python values: residues (int) for GF(p), length-k coefficient
 tuples over GF(p) for GF(p^k) (lowest degree first), and Fraction for the
 rationals.  Field objects carry the operations and are immutable and hashable,
 so matrices and witnesses can share them freely.  All results are produced in
-canonical form; structure constructors re-check canonicity and fail fast.
+canonical form.  field.vector(values) is the one canonicaliser: it makes a
+whole row or vector canonical in one call, and raises for the first value
+that has no canonical form; field.validate(a) accepts only a canonical a.
 """
 
 from __future__ import annotations
@@ -91,14 +93,19 @@ class PrimeField(Field):
         return hash(("prime", self.p))
 
     def validate(self, a) -> None:
-        if type(a) is not int:
-            raise TypeError(f"GF({self.p}) element must be an int, got {type(a).__name__}")
-        if not 0 <= a < self.p:
-            raise ValueError(f"non-canonical GF({self.p}) element: {errors._excerpt(a)}")
+        if type(a) is not int or not 0 <= a < self.p:
+            self.vector((a,))  # raises
 
-    def element(self, a):
-        self.validate(a)
-        return a
+    def vector(self, values) -> tuple:
+        """values as a tuple of elements: residues 0..p-1 of type int (a bool is not)."""
+        v = tuple(values)
+        p = self.p
+        for a in v:
+            if type(a) is not int:
+                raise TypeError(f"GF({p}) element must be an int, got {type(a).__name__}")
+            if not 0 <= a < p:
+                raise ValueError(f"non-canonical GF({p}) element: {errors._excerpt(a)}")
+        return v
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -156,7 +163,7 @@ class ExtensionField(Field):
         if modulus is None:
             modulus = find_irreducible(base, k)
         else:
-            modulus = tuple(base.element(c) for c in modulus)
+            modulus = base.vector(modulus)
             if len(modulus) != k + 1 or modulus[-1] != 1:
                 raise ValueError(f"modulus must be monic of degree {k}")
             if not _modulus_is_irreducible(base, modulus):
@@ -189,16 +196,24 @@ class ExtensionField(Field):
     def validate(self, a) -> None:
         if type(a) is not tuple or len(a) != self.k:
             raise TypeError(f"{self!r} element must be a {self.k}-tuple, got {errors._excerpt(a)}")
+        p = self.p
         for c in a:
-            if type(c) is not int or not 0 <= c < self.p:
-                raise ValueError(f"non-canonical {self!r} element: {errors._excerpt(a)}")
+            if type(c) is not int or not 0 <= c < p:
+                self.vector((a,))  # raises
 
-    def element(self, a):
-        if isinstance(a, (tuple, list)) and len(a) == self.k:
+    def vector(self, values) -> tuple:
+        """values as a tuple of elements: k-tuples or k-lists of residues, made tuples."""
+        k, p = self.k, self.p
+        out = []
+        for a in values:
+            if not isinstance(a, (tuple, list)) or len(a) != k:
+                raise TypeError(f"{self!r} element must be a {k}-sequence of residues, got {errors._excerpt(a)}")
             a = tuple(a)
-            self.validate(a)
-            return a
-        raise TypeError(f"{self!r} element must be a {self.k}-sequence of residues, got {errors._excerpt(a)}")
+            for c in a:
+                if type(c) is not int or not 0 <= c < p:
+                    raise ValueError(f"non-canonical {self!r} element: {errors._excerpt(a)}")
+            out.append(a)
+        return tuple(out)
 
     def add(self, a, b):
         p = self.p
@@ -351,12 +366,15 @@ class RationalField(Field):
         if type(a) is not Fraction:
             raise TypeError(f"rational element must be a Fraction, got {type(a).__name__}")
 
-    def element(self, a):
-        if type(a) is Fraction:
-            return a
-        if type(a) is int:
-            return Fraction(a)
-        raise TypeError(f"rational element must be an int or Fraction, got {errors._excerpt(a)}")
+    def vector(self, values) -> tuple:
+        """values as a tuple of elements: each Fraction as it is, each int made a Fraction."""
+        v = list(values)
+        for i, a in enumerate(v):
+            if type(a) is not Fraction:
+                if type(a) is not int:
+                    raise TypeError(f"rational element must be an int or Fraction, got {errors._excerpt(a)}")
+                v[i] = Fraction(a)
+        return tuple(v)
 
     def add(self, a, b):
         return a + b
@@ -423,7 +441,7 @@ def parse_field(text: str) -> Field:
             return ExtensionField(_selector_int(parts[1]), _selector_int(parts[2]))
         if parts[0] == "rational" and len(parts) == 1:
             return RationalField()
-    except ValueError as exc:
+    except (ValueError, errors.NotPrimeError) as exc:
         raise errors.ParseError(f"bad field selector {errors._excerpt(text)}: {exc}") from None
     raise errors.ParseError(f"bad field selector {errors._excerpt(text)}")
 
@@ -612,10 +630,14 @@ def _modulus_is_irreducible(base: PrimeField, modulus: tuple) -> bool:
     return is_irreducible(base, list(modulus))
 
 
-def is_irreducible(field: Field, coeffs) -> bool:
+def is_irreducible(field: Field, coeffs, rootless: bool = False) -> bool:
     """Ben-Or's test (FOCS 1981): a monic f of degree d over GF(q) is
     irreducible iff gcd(x^(q^i) - x, f) = 1 for every i = 1..d/2, since
     x^(q^i) - x is the product of all monic irreducibles of degree dividing i.
+
+    rootless=True is the caller's claim that f has no root in GF(q), which is
+    just the condition for i = 1; its gcd is skipped, so f of degree 2 or 3
+    is irreducible with no test.  The answer is only as good as the claim.
     """
     cs = _poly_trim(field, coeffs)
     if len(cs) < 2 or cs[-1] != field.one:
@@ -623,10 +645,12 @@ def is_irreducible(field: Field, coeffs) -> bool:
     deg = len(cs) - 1
     if deg >= 2 and not field.is_finite:
         raise errors.InfiniteFieldError("irreducibility test needs a finite field")
+    if rootless and deg <= 3:
+        return True
     h = x = [field.zero, field.one]
-    for _ in range(deg // 2):
+    for i in range(1, deg // 2 + 1):
         h = _poly_powmod(field, h, field.cardinality, cs)
-        if len(_poly_gcd(field, _poly_sub(field, h, x), cs)) > 1:
+        if (i > 1 or not rootless) and len(_poly_gcd(field, _poly_sub(field, h, x), cs)) > 1:
             return False
     return True
 
@@ -649,8 +673,10 @@ def find_irreducible(field: Field, degree: int) -> tuple:
     binomials = rest == 1 and (degree % 4 != 0 or (q - 1) % 4 == 0)
     # Over a larger field a block's q root evaluations can cost more than the
     # tests they save: GF(65537), n = 3 took 0.5 ms unsieved, 36 ms sieved.
-    scan = _rootless_polynomials if degree >= 2 and q <= _TABLE_LIMIT else _monic_polynomials
+    # A sieved candidate has no root, which settles Ben-Or's step i = 1.
+    sieved = degree >= 2 and q <= _TABLE_LIMIT
+    scan = _rootless_polynomials if sieved else _monic_polynomials
     candidates = scan(field, degree, 0 if binomials else q)
-    found = next((tuple(c) for c in candidates if is_irreducible(field, c)), None)
+    found = next((tuple(c) for c in candidates if is_irreducible(field, c, rootless=sieved)), None)
     errors.check(found is not None, f"no irreducible of degree {degree} over {field!r}; the search is buggy")
     return found

@@ -46,10 +46,11 @@ class Matrix(errors._Record):
     """An immutable matrix: its field and a non-empty tuple of equal-length row tuples.
 
     Matrix(field, entries) validates every entry; from_rows and
-    matrix_from_json make each entry canonical once (field.element,
-    element_from_json) and check the shape; zero and identity check their
-    shape.  Results of the module's own arithmetic and elimination are
-    canonical by construction and skip that check (see _trusted).
+    matrix_from_json make each entry canonical once (one field.vector call
+    per row, element_from_json per entry) and check the shape; zero and
+    identity check their shape.  Results of the module's own arithmetic and
+    elimination are canonical by construction and skip that check (see
+    _trusted).
     """
 
     __slots__ = ("field", "entries")
@@ -71,7 +72,9 @@ class Matrix(errors._Record):
 
     @classmethod
     def from_rows(cls, field: Field, rows) -> "Matrix":
-        entries = tuple([tuple([field.element(e) for e in row]) for row in rows])
+        """The matrix of the given rows, each made canonical by one field.vector
+        call, which raises for the first bad entry in row order."""
+        entries = tuple([field.vector(row) for row in rows])
         _check_rows(entries)
         return _trusted(field, entries)
 
@@ -151,8 +154,8 @@ def _trusted(field: Field, entries: tuple) -> Matrix:
     tuples of canonical elements of field: sums, products and eliminations of
     valid matrices, or rows assembled from already validated elements.
     Anything read from outside is checked first: by Matrix(field, entries),
-    or entry by entry by field.element or element_from_json (see from_rows
-    and matrix_from_json).
+    row by row by field.vector (see from_rows), or entry by entry by
+    element_from_json (see matrix_from_json).
     """
     m = object.__new__(Matrix)
     _set_field(m, field)

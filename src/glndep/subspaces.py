@@ -67,7 +67,11 @@ class Subspace(errors._Record):
 
     @classmethod
     def from_vectors(cls, field: Field, ambient: int, vectors) -> "Subspace":
-        vectors = tuple([tuple([field.element(e) for e in v]) for v in vectors])
+        """The span of the vectors, each made canonical by one field.vector
+        call.  Its basis is the nonzero rows of their rref, canonical by
+        construction, so it is not checked again as Subspace(...) checks a
+        basis it is given."""
+        vectors = tuple([field.vector(v) for v in vectors])
         for v in vectors:
             if len(v) != ambient:
                 raise errors.ShapeError("spanning vector of the wrong length")
@@ -75,7 +79,16 @@ class Subspace(errors._Record):
             return cls(field, ambient, ())
         _check_rows(vectors)
         reduced = rref(_trusted(field, vectors))
-        return cls(field, ambient, reduced.rref.entries[: reduced.rank])
+        return _trusted_subspace(field, ambient, reduced.rref.entries[: reduced.rank])
+
+
+def _trusted_subspace(field: Field, ambient: int, basis: tuple) -> Subspace:
+    """The unvalidated Subspace constructor, for a basis that is the nonzero
+    rows of an rref over field, each of length ambient >= 1."""
+    s = object.__new__(Subspace)
+    for name, value in zip(Subspace.__slots__, (field, ambient, basis)):
+        object.__setattr__(s, name, value)
+    return s
 
 
 def representative_matrix(subspace: Subspace, n: int) -> Matrix:

@@ -431,6 +431,13 @@ def test_huge_integer_literals_are_input_errors(tmp_path, capsys, command):
     assert len(err.encode()) < 1024
 
 
+@pytest.mark.parametrize("selector", ["prime:4", "ext:4:2"])
+def test_a_composite_selector_prime_is_an_input_error(capsys, selector):
+    # PrimeField's NotPrimeError is no ValueError, and it gave exit 2.
+    assert main(["make-h", "--field", selector, "--n", "2"]) == 3
+    assert capsys.readouterr().err == f"input error: bad field selector '{selector}': 4 is not prime\n"
+
+
 _DIGITS_5001 = "1" + "0" * 5000
 
 

@@ -186,7 +186,9 @@ def test_the_sieve_runs_few_ben_or_tests(monkeypatch):
     gf16 = ExtensionField(2, 4)
     calls = []
     test = fields.is_irreducible
-    monkeypatch.setattr(fields, "is_irreducible", lambda field, coeffs: calls.append(coeffs) or test(field, coeffs))
+    monkeypatch.setattr(
+        fields, "is_irreducible", lambda field, coeffs, **kw: calls.append(coeffs) or test(field, coeffs, **kw)
+    )
     assert find_irreducible(gf16, 4) == ((0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 0), (1, 0, 0, 0))
     assert len(calls) <= 69
 
@@ -213,14 +215,30 @@ def _trial_division_irreducible(field, coeffs):
     return all(_poly_mod(field, coeffs, g) for e in range(1, deg // 2 + 1) for g in _monic_polynomials(field, e, 0))
 
 
+def _has_root(field, coeffs):
+    for a in field.elements():
+        value = field.zero
+        for c in reversed(coeffs):
+            value = field.add(field.mul(value, a), c)
+        if value == field.zero:
+            return True
+    return False
+
+
 @pytest.mark.parametrize("field,max_degree", [(GF2, 8), (GF3, 5), (GF4, 3)])
 def test_irreducibility_agrees_with_trial_division(field, max_degree):
-    checked = 0
+    checked = rootless = 0
     for degree in range(1, max_degree + 1):
         for f in _monic_polynomials(field, degree, 0):
-            assert is_irreducible(field, f) == _trial_division_irreducible(field, f), f
+            expected = _trial_division_irreducible(field, f)
+            assert is_irreducible(field, f) == expected, f
             checked += 1
+            # rootless=True is the caller's claim; it holds here, so the answer must too.
+            if not _has_root(field, f):
+                assert is_irreducible(field, f, rootless=True) == expected, f
+                rootless += 1
     assert checked == sum(field.cardinality ** d for d in range(1, max_degree + 1))
+    assert rootless > 0
 
 
 # enumeration
@@ -276,7 +294,7 @@ GF16 = ExtensionField(2, 4)
         (lambda: Matrix.from_rows(GF16, [[(0,) * 300_000]]), TypeError, "GF(2^4) element must be a 4-sequence"),
         (lambda: GF16.validate((0,) * 300_000), TypeError, "GF(2^4) element must be a 4-tuple"),
         (lambda: GF16.validate((10 ** 5000, 0, 0, 0)), ValueError, "non-canonical GF(2^4) element"),
-        (lambda: GF16.element([0] * 300_000), TypeError, "GF(2^4) element must be a 4-sequence"),
+        (lambda: GF16.vector([[0] * 300_000]), TypeError, "GF(2^4) element must be a 4-sequence"),
         (lambda: Matrix.from_rows(QQ, [[[0] * 300_000]]), TypeError, "rational element must be an int or Fraction"),
         (lambda: GF7.validate(10 ** 5000), ValueError, "non-canonical GF(7) element"),
     ],
@@ -351,8 +369,71 @@ def test_results_stay_canonical_gf9(a, b):
     [(GF7, 5), (GF4, (1, 1)), (QQ, Fraction(-2, 3)), (QQ, 4)],
 )
 def test_element_constructor_is_idempotent(field, value):
-    once = field.element(value)
-    assert field.element(once) == once
+    once = field.vector([value])
+    assert field.vector(once) == once
+
+
+# junk for vector: values with no canonical form in any of the fields below,
+# or in only some of them
+_JUNK = st.one_of(
+    st.booleans(),
+    st.floats(allow_nan=False),
+    st.integers(max_value=-1),
+    st.integers(min_value=2),
+    st.tuples(st.integers(0, 2)),
+    st.lists(st.integers(0, 2), max_size=3),
+    st.tuples(st.integers(-1, 3), st.integers(-1, 3)),
+    st.text(max_size=3),
+    st.none(),
+)
+_VECTOR_FIELDS = [GF2, PrimeField(31), GF16, GF9, QQ]
+
+
+def _canonical_values(field):
+    if field.is_finite:
+        return _gf_elements(field)
+    return st.one_of(st.integers(-5, 5), _RATIONALS)
+
+
+def _outcome(call):
+    try:
+        return "value", call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("field", _VECTOR_FIELDS, ids=repr)
+@given(data=st.data())
+def test_vector_is_the_per_entry_loop(field, data):
+    # The entries of GF(2^4) and GF(3^2) can also be lists, which become tuples.
+    canonical = _canonical_values(field)
+    if field.is_finite and field.cardinality > field.p:
+        canonical = st.one_of(canonical, canonical.map(list))
+    values = data.draw(st.lists(st.one_of(canonical, _JUNK), max_size=6))
+    single = [_outcome(lambda: field.vector([v])) for v in values]
+    bad = [outcome for outcome in single if outcome[0] != "value"]
+    if bad:
+        assert _outcome(lambda: field.vector(values)) == bad[0]
+    else:
+        assert field.vector(values) == tuple(outcome[1][0] for outcome in single)
+        assert field.vector(iter(values)) == field.vector(values)
+
+
+@pytest.mark.parametrize(
+    "field,value,error,message",
+    [
+        (GF7, True, TypeError, "GF(7) element must be an int, got bool"),
+        (GF7, 7, ValueError, "non-canonical GF(7) element: 7"),
+        (GF4, [1, 0, 0], TypeError, "GF(2^2) element must be a 2-sequence of residues, got [1, 0, 0]"),
+        (GF4, [1, 2], ValueError, "non-canonical GF(2^2) element: (1, 2)"),
+        (QQ, 0.5, TypeError, "rational element must be an int or Fraction, got 0.5"),
+    ],
+)
+def test_vector_refuses_with_the_per_entry_messages(field, value, error, message):
+    # The messages the per-entry element(a) of each field gave.
+    with pytest.raises(error) as info:
+        field.vector([field.one, value, None])
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("field", [GF4, ExtensionField(2, 3), GF9, ExtensionField(5, 2), ExtensionField(3, 4)])
@@ -415,6 +496,8 @@ def test_parse_field_selectors():
         parse_field("prime:abc")
     with pytest.raises(errors.ParseError):
         parse_field("galois:2")
+    with pytest.raises(errors.ParseError, match="^bad field selector 'prime:4': 4 is not prime$"):
+        parse_field("prime:4")
 
 
 def _order_by_trial_division(q):

@@ -511,9 +511,10 @@ def test_solver_does_not_revalidate_entries():
     instances.append([Matrix.identity(QQ, 2)] * 3)
 
     def refuse(self, a):
-        raise AssertionError("RationalField.element called")
+        raise AssertionError("RationalField.vector or validate called")
 
-    with mock.patch.object(RationalField, "element", refuse), recorded_corrections() as records:
+    with mock.patch.object(RationalField, "vector", refuse), mock.patch.object(RationalField, "validate", refuse), \
+            recorded_corrections() as records:
         for mats in instances:
             verify_witness(mats, solve_rational(mats))
     assert records, "no instance reached the correction step"

@@ -93,6 +93,27 @@ def test_subspace_equality_is_canonical():
     assert a != Subspace.from_vectors(QQ, 2, [(1, 0)])
 
 
+def test_from_vectors_eliminates_once(monkeypatch):
+    # The basis is the nonzero rows of the vectors' rref, canonical by
+    # construction; checking it as Subspace(...) does took a second rref.
+    calls = []
+    monkeypatch.setattr(subspaces, "rref", lambda m: calls.append(m) or rref(m))
+    space = Subspace.from_vectors(QQ, 3, [(1, 2, 3), (2, 4, 6), (0, 1, 1)])
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert Subspace(QQ, 3, space.basis) == space
+    assert space.basis == ((1, 0, 1), (0, 1, 1))
+
+
+def test_from_vectors_keeps_its_refusals():
+    with pytest.raises(errors.ShapeError, match="^spanning vector of the wrong length$"):
+        Subspace.from_vectors(QQ, 2, [(1, 2, 3)])
+    with pytest.raises(errors.ShapeError, match="^ambient dimension must be >= 1$"):
+        Subspace.from_vectors(QQ, 0, [])
+    with pytest.raises(TypeError, match="^rational element must be an int or Fraction, got 0.5$"):
+        Subspace.from_vectors(QQ, 2, [(1, 2), (0.5, 1)])
+
+
 # invertible transforms between matrices with equal row spaces
 
 def test_transform_equal_inputs_gives_identity():
@@ -267,9 +288,7 @@ def test_solver_route_over_rationals():
 def _plane_pair_witness():
     plane = Subspace.from_vectors(QQ, 2, [(1, 0), (0, 1)])
     vectors = (((1, 0), (0, 1)), ((-1, 0), (0, -1)))
-    vecs = tuple(
-        tuple(tuple(QQ.element(e) for e in v) for v in group) for group in vectors
-    )
+    vecs = tuple(tuple(QQ.vector(v) for v in group) for group in vectors)
     return [plane, plane], SubspaceWitness(QQ, 2, 2, vecs, (FLAG_FULL, FLAG_FULL))
 
 
@@ -332,8 +351,8 @@ def test_verify_rejects_all_zero_flags():
 def test_verify_rejects_membership_violation():
     spaces = [line(QQ, (1, 0)), line(QQ, (1, 0))]
     vecs = (
-        ((QQ.element(0), QQ.element(1)),),
-        ((QQ.element(0), QQ.element(-1)),),
+        (QQ.vector((0, 1)),),
+        (QQ.vector((0, -1)),),
     )
     bad = SubspaceWitness(QQ, 2, 1, vecs, (FLAG_FULL, FLAG_FULL))
     with pytest.raises(SubspaceVerificationError) as exc:
@@ -346,7 +365,7 @@ def test_verify_reports_the_first_vector_outside_its_subspace():
     # 2's first vector leaves it too, but comes later in (subspace, vector) order
     spaces = [line(QQ, (1, 0)), line(QQ, (0, 1)), line(QQ, (1, 1))]
     vecs = tuple(
-        tuple(tuple(QQ.element(e) for e in v) for v in group)
+        tuple(QQ.vector(v) for v in group)
         for group in (((1, 0), (0, 0)), ((0, 1), (1, 0)), ((1, 0), (0, 0)))
     )
     bad = SubspaceWitness(QQ, 2, 2, vecs, (FLAG_FULL, FLAG_FULL, FLAG_FULL))
@@ -358,8 +377,8 @@ def test_verify_reports_the_first_vector_outside_its_subspace():
 def test_verify_rejects_sum_violation():
     spaces = [line(QQ, (1, 0)), line(QQ, (1, 0))]
     vecs = (
-        ((QQ.element(1), QQ.element(0)),),
-        ((QQ.element(1), QQ.element(0)),),
+        (QQ.vector((1, 0)),),
+        (QQ.vector((1, 0)),),
     )
     bad = SubspaceWitness(QQ, 2, 1, vecs, (FLAG_FULL, FLAG_FULL))
     with pytest.raises(SubspaceVerificationError) as exc:
@@ -370,8 +389,8 @@ def test_verify_rejects_sum_violation():
 def test_verify_rejects_zero_flag_on_nonzero_vectors():
     spaces = [line(QQ, (1, 0)), line(QQ, (1, 0))]
     vecs = (
-        ((QQ.element(1), QQ.element(0)),),
-        ((QQ.element(-1), QQ.element(0)),),
+        (QQ.vector((1, 0)),),
+        (QQ.vector((-1, 0)),),
     )
     bad = SubspaceWitness(QQ, 2, 1, vecs, (FLAG_ZERO, FLAG_FULL))
     with pytest.raises(SubspaceVerificationError) as exc:
