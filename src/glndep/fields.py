@@ -597,7 +597,8 @@ def _monic_polynomials(field: Field, degree: int, start: int):
 
 def _rootless_polynomials(field: Field, degree: int, start: int):
     """The polynomials of _monic_polynomials(field, degree, start) without a
-    root in the field, in the same order; start is a multiple of q.
+    root in the field, in the same order, from the block of q candidates that
+    holds candidate number start on: start is rounded down to a multiple of q.
 
     A polynomial of degree >= 2 with a root is reducible, so the first
     irreducible is the same.  Each block of q candidates is c_0 + x*g, for
@@ -655,13 +656,37 @@ def is_irreducible(field: Field, coeffs, rootless: bool = False) -> bool:
     return True
 
 
+def _first_traced_power(field: Field) -> int:
+    """The least j for which a^j has a nonzero absolute trace Tr to GF(p),
+    where a is the field's generator x; over GF(p) Tr is the identity and j = 0.
+
+    Tr(a^i) is the power sum s_i of the roots of the modulus
+    x^k + m_(k-1) x^(k-1) + ... + m_0, with s_0 = k.  Newton's identities,
+    s_i + m_(k-1) s_(i-1) + ... + m_(k-i+1) s_1 + i*m_(k-i) = 0 for 1 <= i <= k,
+    give s_i = -i*m_(k-i) while s_1 .. s_(i-1) are 0.  Tr is onto GF(p) and
+    1, a, ..., a^(k-1) span the field, so some j < k has s_j != 0.
+    """
+    if not isinstance(field, ExtensionField) or field.k % field.p:
+        return 0
+    k, m = field.k, field.modulus
+    return next(i for i in range(1, k) if i % field.p and m[k - i])
+
+
 def find_irreducible(field: Field, degree: int) -> tuple:
-    """First irreducible monic polynomial of the given degree, in counting order."""
+    """First irreducible monic polynomial of the given degree, in counting order.
+
+    Candidate number v has the coefficients of x^0 .. x^(degree-1) as the
+    base-q digits of v (see _monic_polynomials).  The scan starts past a run
+    of candidates that a theorem proves reducible (Lidl and Niederreiter,
+    Finite Fields, ch. 3), so it finds the same polynomial as the plain scan
+    from v = 0, which the tests check.  Over a field of at most 256 elements
+    only candidates without a root get Ben-Or's test.
+    """
     if not field.is_finite:
         raise errors.InfiniteFieldError("irreducible search needs a finite field")
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
-    q = field.cardinality
+    q, p = field.cardinality, field.p
     # The first q candidates are the binomials x^n + c.  By Lidl-Niederreiter,
     # Finite Fields, Thm 3.75, one of them is irreducible only if every prime
     # factor of n divides q - 1, and 4 divides q - 1 when 4 divides n.  The
@@ -670,13 +695,39 @@ def find_irreducible(field: Field, degree: int) -> tuple:
     rest = degree
     while (g := gcd(rest, q - 1)) > 1:
         rest //= g
-    binomials = rest == 1 and (degree % 4 != 0 or (q - 1) % 4 == 0)
+    start = 0 if rest == 1 and (degree % 4 != 0 or (q - 1) % 4 == 0) else q
+    if degree == 4 and p == 2 and (q - 1) % 3 == 0:
+        # The first q^2 candidates are x^4 + b x + c.  If b = 0 it is a fourth
+        # power.  Otherwise L(x) = x^4 + b x is GF(2)-linear with the roots 0
+        # and the cube roots of b, and Frobenius s(y) = y^q maps a root y of
+        # L(x) + c to y + r, r a root of L.  As 3 divides q - 1, either b is a
+        # cube, all its cube roots lie in GF(q), and s^2(y) = y + 2r = y; or
+        # x^3 + b has no root, so it is irreducible, its roots form one
+        # 3-cycle of s and sum to 0, and s^3(y) = y + r + s(r) + s^2(r) = y.
+        # So y lies in GF(q^2) or GF(q^3), not of degree 4 over GF(q).
+        start = q * q
+    elif degree == p and (p == 2 or (p == 3 and q % 4 == 3)):
+        # Candidate (p - 1) q + v is x^p - x + c, c the element of index v: over
+        # the digits of v (coefficients of 1, a, a^2, ...) Tr(c) is linear, so
+        # the first v with Tr(c) != 0 is p^j, j = _first_traced_power.  By
+        # Artin-Schreier (Thm 3.78) x^p - x + c is irreducible just when
+        # Tr(c) != 0, so that candidate is the first irreducible of its block.
+        # The earlier blocks are reducible: x^p + c is a p-th power, and for
+        # p = 3, x^3 + x + c has y + r for r in {0, i, -i} as its roots, i^2 = -1;
+        # q = 3 mod 4 puts i outside GF(q), so Frobenius s swaps i and -i,
+        # s(y) = y + r gives s^2(y) = y + r - r = y, and y has degree <= 2.
+        # For p >= 5 an earlier block can hold irreducibles: x^7 + 3x + c over GF(7^3).
+        start = (p - 1) * q + p ** _first_traced_power(field)
+    elif degree == 2 and p != 2 and (q - 1) % (p * p - 1) == 0:
+        # The first p candidates are x^2 - a for a in GF(p), and GF(q)
+        # contains GF(p^2), over which every x^2 - a splits.
+        start = p
     # Over a larger field a block's q root evaluations can cost more than the
     # tests they save: GF(65537), n = 3 took 0.5 ms unsieved, 36 ms sieved.
     # A sieved candidate has no root, which settles Ben-Or's step i = 1.
     sieved = degree >= 2 and q <= _TABLE_LIMIT
     scan = _rootless_polynomials if sieved else _monic_polynomials
-    candidates = scan(field, degree, 0 if binomials else q)
+    candidates = scan(field, degree, start)
     found = next((tuple(c) for c in candidates if is_irreducible(field, c, rootless=sieved)), None)
     errors.check(found is not None, f"no irreducible of degree {degree} over {field!r}; the search is buggy")
     return found

@@ -200,7 +200,7 @@ class RrefResult(errors._Record):
     __slots__ = ("rref", "pivot_cols", "rank")
 
 
-def _gauss_jordan(field: Field, rows, limit: int, normalise: bool = True):
+def _gauss_jordan(field: Field, rows, limit: int, reduce: bool = True):
     """The one elimination pass behind every question in this module.
 
     Copies the rows and reduces the copy to reduced row echelon form, taking
@@ -209,8 +209,13 @@ def _gauss_jordan(field: Field, rows, limit: int, normalise: bool = True):
     reduced rows (lists), the pivot columns, and the determinant factor: when
     every row holds a pivot, the product of the pivots, negated once per row
     swap.  For a square matrix with a pivot in every column that factor is its
-    determinant.  Over QQ see _rational_gauss_jordan, which leaves the rows as
-    integers when normalise is false.
+    determinant.  Over QQ see _rational_gauss_jordan.
+
+    With reduce false the pass is forward elimination only, for callers that
+    read only the pivot columns and the factor: each pivot updates only the
+    rows below it, and the rows returned are not to be read.  A row below a
+    pivot is updated as in the full pass, and so is every row before it turns
+    pivot row, so the pivots, swaps and factor are the same.
 
     Over a finite field the pivot row is zero in every column left of the
     pivot column: the earlier pivot columns have been cleared, and an earlier
@@ -221,7 +226,7 @@ def _gauss_jordan(field: Field, rows, limit: int, normalise: bool = True):
     factor are the values the full-row update gives.
     """
     if field.cardinality is None:
-        return _rational_gauss_jordan(rows, limit, normalise)
+        return _rational_gauss_jordan(rows, limit, reduce)
     z, o = field.zero, field.one
     add, mul, neg = field.add, field.mul, field.neg
     work = [list(row) for row in rows]
@@ -245,7 +250,8 @@ def _gauss_jordan(field: Field, rows, limit: int, normalise: bool = True):
             factor = mul(factor, pv)
             scale = field.inv(pv)
             tail = src[col:] = [mul(scale, e) for e in tail]
-        for r, row in enumerate(work):
+        for r in range(0 if reduce else pr + 1, nrows):
+            row = work[r]
             c = row[col]
             if r != pr and c != z:
                 c = neg(c)
@@ -318,7 +324,7 @@ def _rational_product(aent, bent) -> tuple:
     ])
 
 
-def _rational_gauss_jordan(rows, limit: int, normalise: bool):
+def _rational_gauss_jordan(rows, limit: int, reduce: bool):
     """_gauss_jordan over QQ, fraction-free with exact division (Bareiss 1968).
 
     Each row (of Fractions, or of ints, whose denominator is 1) is cleared of
@@ -329,11 +335,14 @@ def _rational_gauss_jordan(rows, limit: int, normalise: bool):
     division is exact, and each row is a nonzero multiple of the row the
     Fraction loop holds: the same entries are zero, and the pivots and swaps
     are the same.  Every pivot row ends holding the last pivot prev at its
-    pivot column, so with normalise the pivot rows are divided by prev, one
+    pivot column, so with reduce the pivot rows are divided by prev, one
     Fraction per entry, which gives the Fraction loop's rows; the rows below
     the rank stay Fractions up to a nonzero scale (callers test them for
     zero).  For a full-rank square matrix prev is the cleared determinant up
-    to the swaps' sign, so the factor is sign * prev / den.
+    to the swaps' sign, so the factor is sign * prev / den.  With reduce
+    false each pivot updates only the rows below it (Bareiss's forward
+    elimination); those rows get the same integers as in the full pass, so
+    every division stays exact, and the rows are returned unread as ints.
     """
     work = []
     den = 1
@@ -356,7 +365,8 @@ def _rational_gauss_jordan(rows, limit: int, normalise: bool):
             sign = -sign
         src = work[pr]
         pv = src[col]
-        for r, row in enumerate(work):
+        for r in range(0 if reduce else pr + 1, nrows):
+            row = work[r]
             c = row[col]
             if c and r != pr:
                 work[r] = [(pv * e - c * s) // prev for e, s in zip(row, src)]
@@ -364,7 +374,7 @@ def _rational_gauss_jordan(rows, limit: int, normalise: bool):
                 work[r] = [pv * e // prev for e in row]
         prev = pv
         pivot_cols.append(col)
-    if normalise:
+    if reduce:
         z = Fraction(0)
         rank = len(pivot_cols)
         work = [[Fraction(e, prev if t < rank else 1) if e else z for e in row] for t, row in enumerate(work)]
@@ -405,7 +415,7 @@ def det(matrix: Matrix):
     n, cols = matrix.rows, matrix.cols
     if n != cols:
         raise errors.ShapeError(f"determinant of a {n}x{cols} matrix")
-    _, pivot_cols, factor = _gauss_jordan(matrix.field, matrix.entries, n, normalise=False)
+    _, pivot_cols, factor = _gauss_jordan(matrix.field, matrix.entries, n, reduce=False)
     return factor if len(pivot_cols) == n else matrix.field.zero
 
 
@@ -461,7 +471,7 @@ def find_gl_transform(m1: Matrix, m2: Matrix) -> Matrix | None:
     completed = []
     for m in (m1, m2):
         cols = [tuple([r[c] for r in m.entries]) for c in reduced.pivot_cols]
-        _, pivot_cols, _ = _gauss_jordan(field, zip(*cols, *units), s + n, normalise=False)
+        _, pivot_cols, _ = _gauss_jordan(field, zip(*cols, *units), s + n, reduce=False)
         errors.check(pivot_cols[:s] == tuple(range(s)), "the coordinate columns are dependent")
         completed.append(cols + [units[p - s] for p in pivot_cols[s:]])
     work, _, _ = _gauss_jordan(field, [c1 + c2 for c1, c2 in zip(*completed)], n)

@@ -48,8 +48,7 @@ class Subspace(errors._Record):
     __slots__ = ("field", "ambient", "basis")
 
     def __post_init__(self):
-        if self.ambient < 1:
-            raise errors.ShapeError("ambient dimension must be >= 1")
+        _check_ambient(self.ambient)
         for row in self.basis:
             if len(row) != self.ambient:
                 raise errors.ShapeError("basis row of the wrong length")
@@ -71,6 +70,7 @@ class Subspace(errors._Record):
         call.  Its basis is the nonzero rows of their rref, canonical by
         construction, so it is not checked again as Subspace(...) checks a
         basis it is given."""
+        _check_ambient(ambient)
         vectors = tuple([field.vector(v) for v in vectors])
         for v in vectors:
             if len(v) != ambient:
@@ -80,6 +80,12 @@ class Subspace(errors._Record):
         _check_rows(vectors)
         reduced = rref(_trusted(field, vectors))
         return _trusted_subspace(field, ambient, reduced.rref.entries[: reduced.rank])
+
+
+def _check_ambient(ambient) -> None:
+    """Raise ShapeError unless ambient is an int >= 1 (a bool or a float is not)."""
+    if type(ambient) is not int or ambient < 1:
+        raise errors.ShapeError("ambient dimension must be >= 1")
 
 
 def _trusted_subspace(field: Field, ambient: int, basis: tuple) -> Subspace:

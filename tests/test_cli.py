@@ -234,6 +234,34 @@ def test_make_h_writes_basis(tmp_path):
     assert obj == json.loads(json.dumps(fullrank_to_json(build_fullrank_basis(GF2, 3))))
 
 
+@pytest.mark.parametrize("field, n", [("ext:2:40", "2"), ("ext:2147483647:2", "2"), ("ext:3:31", "3")])
+def test_make_h_over_large_extensions_ends(tmp_path, field, n):
+    # Each modulus search ran past 15 s while it scanned candidates that are
+    # provably reducible.  In a child process, so a regression fails by the
+    # timeout instead of hanging the suite.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import glndep
+
+    out = tmp_path / "h.json"
+    src = str(Path(glndep.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "glndep.cli", "make-h", "--field", field, "--n", n, "--output", str(out)],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    if field == "ext:2:40":
+        # x^2 + x + a^35: a^35 has index 2^35, the first element of trace 1.
+        one, zero = ["1"] + ["0"] * 39, ["0"] * 40
+        assert json.loads(out.read_text())["modulus"] == [zero[:35] + ["1"] + zero[36:], one, one]
+
+
 def test_oracle_command_dependent(tmp_path):
     inst = tmp_path / "inst.json"
     out = tmp_path / "res.json"

@@ -4,6 +4,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -160,11 +161,86 @@ def test_the_root_sieve_keeps_the_first_irreducible():
         if p ** round(math.log(q, p)) != q:
             continue
         field = field_from_order(q)
-        for n in (1, 2, 3):
+        for n in (1, 2, 3, 4):
+            if n == 4 and q ** n > 2 * 10 ** 6:
+                continue
             plain = next(tuple(c) for c in _monic_polynomials(field, n, 0) if is_irreducible(field, c))
             assert find_irreducible(field, n) == plain, (q, n)
             checked += 1
-    assert checked == 3 * 70  # 54 primes and 16 higher prime powers up to 256
+    # 54 primes and 16 higher prime powers up to 256, and the 19 up to 37 for n = 4
+    assert checked == 3 * 70 + 19
+
+
+def test_the_unsieved_scan_keeps_the_first_irreducible():
+    # Over a field of more than 256 elements the scan tests every candidate
+    # from its start on; the plain scan from x^n must agree with it.  Over
+    # GF(7^3), n = 7, the jump to x^p - x + c is not taken: x^7 + 3x + c
+    # comes first and holds the first irreducible.
+    for q, n in ((2 ** 9, 2), (2 ** 10, 2), (17 ** 2, 2), (19 ** 2, 2), (3 ** 7, 3), (7 ** 3, 7)):
+        field = field_from_order(q)
+        plain = next(tuple(c) for c in _monic_polynomials(field, n, 0) if is_irreducible(field, c))
+        assert find_irreducible(field, n) == plain, (q, n)
+
+
+@pytest.mark.parametrize("q", [4, 16, 64])
+def test_every_x4_plus_bx_plus_c_is_reducible_when_3_divides_q_minus_1(q):
+    # find_irreducible skips these q^2 candidates for n = 4 over GF(2^k), k even.
+    field = field_from_order(q)
+    skipped = list(islice(_monic_polynomials(field, 4, 0), q * q))
+    assert all(c[2] == c[3] == field.zero for c in skipped)
+    assert not any(is_irreducible(field, c) for c in skipped)
+
+
+@pytest.mark.parametrize("q", [9, 25, 81])
+def test_every_x2_minus_a_with_a_in_the_prime_field_splits_when_k_is_even(q):
+    # find_irreducible skips these first p candidates for n = 2 over GF(p^k), k even.
+    field = field_from_order(q)
+    p = field.p
+    skipped = list(islice(_monic_polynomials(field, 2, 0), p))
+    assert [c[0] for c in skipped] == [field.element_from_index(a) for a in range(p)]
+    assert not any(is_irreducible(field, c) for c in skipped)
+
+
+@pytest.mark.parametrize("q", [3, 27, 243])
+def test_every_x3_plus_x_plus_c_is_reducible_when_k_is_odd(q):
+    # find_irreducible skips this block of q candidates for n = 3 over GF(3^k), k odd.
+    field = field_from_order(q)
+    block = list(islice(_monic_polynomials(field, 3, q), q))
+    assert all(c[1] == field.one and c[2] == field.zero for c in block)
+    assert not any(is_irreducible(field, c) for c in block)
+
+
+def _trace(field, a):
+    """a + a^p + ... + a^(p^(k-1)), the absolute trace of a, by Frobenius powers."""
+    total, y = field.zero, a
+    for _ in range(field.k):
+        total = field.add(total, y)
+        z = field.one
+        for _ in range(field.p):
+            z = field.mul(z, y)
+        y = z
+    return total
+
+
+@pytest.mark.parametrize("p, k", [(2, 2), (2, 3), (2, 10), (2, 40), (3, 3), (3, 9), (3, 31), (5, 5), (7, 14)])
+def test_first_traced_power_matches_the_frobenius_trace(p, k):
+    field = ExtensionField(p, k)
+    j = fields._first_traced_power(field)
+    powers = [field.element_from_index(p ** i) for i in range(j + 1)]  # a^i is the unit vector e_i
+    assert [_trace(field, a) != field.zero for a in powers] == [False] * j + [True]
+
+
+@pytest.mark.parametrize("q", [2, 4, 8, 16, 3, 27])
+def test_x_to_the_p_minus_x_plus_c_is_irreducible_just_when_the_trace_is_nonzero(q):
+    # Artin-Schreier, the criterion behind the jump for n = p.
+    field = field_from_order(q)
+    p = field.p
+    for v in range(q):
+        c = field.element_from_index(v)
+        f = next(_monic_polynomials(field, p, (p - 1) * q + v))
+        assert f[0] == c and f[1] == field.neg(field.one)
+        trace = _trace(field, c) if isinstance(field, ExtensionField) else c
+        assert is_irreducible(field, f) == (trace != field.zero), (q, v)
 
 
 def test_degree_one_search_returns_x():
@@ -175,22 +251,26 @@ def test_degree_one_search_returns_x():
 
 def test_the_gf256_degree_four_modulus_is_pinned():
     # Found by the unsieved counting-order scan, which ran Ben-Or's test on
-    # 65,801 candidates; the sieve tests 16,449.
+    # 65,801 candidates; the sieve from x^4 on tested 16,449.
     e = [tuple(int(i == j) for j in range(8)) for i in range(8)]
     zero = (0,) * 8
     assert find_irreducible(ExtensionField(2, 8), 4) == (e[3], e[1], e[0], zero, e[0])
 
 
 def test_the_sieve_runs_few_ben_or_tests(monkeypatch):
-    # The unsieved scan tested 277 candidates of degree 4 over GF(2^4).
-    gf16 = ExtensionField(2, 4)
+    # The unsieved scan tested 277 candidates of degree 4 over GF(2^4), and
+    # the sieve from x^4 on 69; over GF(2^8) the sieve from x^4 on tested 16,449.
+    gf16, gf256 = ExtensionField(2, 4), ExtensionField(2, 8)
     calls = []
     test = fields.is_irreducible
     monkeypatch.setattr(
         fields, "is_irreducible", lambda field, coeffs, **kw: calls.append(coeffs) or test(field, coeffs, **kw)
     )
     assert find_irreducible(gf16, 4) == ((0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 0), (1, 0, 0, 0))
-    assert len(calls) <= 69
+    assert len(calls) <= 9
+    calls.clear()
+    find_irreducible(gf256, 4)
+    assert len(calls) <= 129
 
 
 def test_a_search_past_the_binomials_is_quick():

@@ -365,10 +365,10 @@ def test_transform_completes_with_the_smallest_unit_vectors():
 # gives in the field's own arithmetic (on Fractions over QQ), and the QQ
 # product what the same product gives on Fractions.
 
-def _reference_gauss_jordan(field, rows, limit, normalise=True):
+def _reference_gauss_jordan(field, rows, limit, reduce=True):
     """Gauss-Jordan with first-nonzero pivots scaled to 1 and every row
     updated over its full length; the factor is the product of the pivots,
-    negated once per row swap.  The rows are always normalised, whatever det
+    negated once per row swap.  The rows are always reduced, whatever det
     asks for."""
     z, mul = field.zero, field.mul
     work = [list(row) for row in rows]
@@ -533,6 +533,31 @@ def _assert_matches_full_row_reference(field, rows, limit):
 @given(_finite_systems())
 def test_finite_elimination_matches_full_row_reference(system):
     _assert_matches_full_row_reference(*system)
+
+
+@st.composite
+def _qq_systems(draw):
+    m = draw(_qq_matrices())
+    return QQ, m.entries, draw(st.integers(1, m.cols))
+
+
+@settings(max_examples=300, deadline=None)
+@example((GF3, ((0, 1, 2), (0, 2, 1), (1, 0, 0)), 3))
+@example((QQ, ((Fraction(0), Fraction(2), Fraction(1)), (Fraction(3), Fraction(1), Fraction(0)),
+               (Fraction(6), Fraction(4), Fraction(1))), 3))
+@given(st.one_of(_finite_systems(), _qq_systems()))
+def test_forward_elimination_keeps_the_pivots_and_the_determinant(system):
+    # det, the column completion of find_gl_transform and the QQ pencils of
+    # choose_correction_scalar run the forward pass only.
+    field, rows, limit = system
+    _, pivot_cols, factor = matrix_module._gauss_jordan(field, rows, limit, reduce=False)
+    _, full_pivot_cols, full_factor = matrix_module._gauss_jordan(field, rows, limit)
+    assert pivot_cols == full_pivot_cols
+    assert factor == full_factor
+    n = min(len(rows), len(rows[0]))
+    square = Matrix(field, tuple(row[:n] for row in rows[:n]))
+    _, full_pivot_cols, full_factor = matrix_module._gauss_jordan(field, square.entries, n)
+    assert det(square) == (full_factor if len(full_pivot_cols) == n else field.zero)
 
 
 @pytest.mark.parametrize("rows, limit", [

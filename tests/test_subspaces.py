@@ -114,6 +114,24 @@ def test_from_vectors_keeps_its_refusals():
         Subspace.from_vectors(QQ, 2, [(1, 2), (0.5, 1)])
 
 
+@pytest.mark.parametrize("ambient", [2.0, True, "2", None])
+def test_from_vectors_refuses_an_ambient_that_is_not_an_int(ambient):
+    # 2.0 passed as 2: subspace_to_json wrote "ambient": 2.0, which the
+    # subspace-solve input rules refuse.
+    with pytest.raises(errors.ShapeError, match="^ambient dimension must be >= 1$"):
+        Subspace.from_vectors(QQ, ambient, [(1, 0)])
+    with pytest.raises(errors.ShapeError, match="^ambient dimension must be >= 1$"):
+        Subspace.from_vectors(QQ, ambient, [])
+
+
+@pytest.mark.parametrize("ambient", [2.0, True, "2", None])
+def test_subspace_refuses_an_ambient_that_is_not_an_int(ambient):
+    with pytest.raises(errors.ShapeError, match="^ambient dimension must be >= 1$"):
+        Subspace(QQ, ambient, ())
+    with pytest.raises(errors.ShapeError, match="^ambient dimension must be >= 1$"):
+        Subspace(QQ, ambient, ((Fraction(1), Fraction(0)),))
+
+
 # invertible transforms between matrices with equal row spaces
 
 def test_transform_equal_inputs_gives_identity():
