@@ -13,27 +13,7 @@ import sys
 from fractions import Fraction
 from functools import partial
 
-from . import errors
-from .certificate import (
-    VerificationError,
-    instance_from_json,
-    instance_to_json,
-    verify_witness,
-    witness_from_json,
-    witness_to_json,
-)
-from .fields import field_from_json, field_from_order, parse_field
-from .fullrank import build_fullrank_basis, fullrank_to_json
-from .matrix import Matrix
-from .oracle import DEFAULT_CAP, _check_sweep_size, brute_force_witness, exhaustive_theorem_check, report_to_json
-from .finite_solver import solve_finite
-from .rational_solver import solve_rational, solve_unsafe_finite
-from .subspaces import (
-    SubspaceVerificationError,
-    _subspaces_from_rows,
-    solve_subspace_dependence,
-    subspace_witness_to_json,
-)
+from . import certificate, errors, fields, finite_solver, fullrank, matrix, oracle, rational_solver, subspaces
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -69,8 +49,10 @@ def _emit(obj, path: str | None) -> None:
 
 def _check_size(what: str, entries: int) -> None:
     """Refuse a flag that would make more than DEFAULT_CAP matrix entries, before any is made."""
-    if entries > DEFAULT_CAP:
-        raise errors.TooLargeError(f"{what} asks for {entries} matrix entries, over the cap of {DEFAULT_CAP}")
+    if entries > errors.DEFAULT_CAP:
+        raise errors.TooLargeError(
+            f"{what} asks for {errors._excerpt(entries)} matrix entries, over the cap of {errors.DEFAULT_CAP}"
+        )
 
 
 def _random_instance(field, n: int, m: int, k: int, seed: int):
@@ -86,45 +68,50 @@ def _random_instance(field, n: int, m: int, k: int, seed: int):
             ]
         else:
             rows = [[Fraction(rng.randint(-3, 3)) for _ in range(m)] for _ in range(n)]
-        matrices.append(Matrix.from_rows(field, rows))
+        matrices.append(matrix.Matrix.from_rows(field, rows))
     return matrices
 
 
 def _load_instance(args, field):
     if args.input is not None:
-        file_field, matrices = instance_from_json(_read_json(args.input))
+        file_field, matrices = certificate.instance_from_json(_read_json(args.input))
         if file_field != field:
             raise errors.FieldMismatchError(
                 f"--field selects {field!r} but the instance is over {file_field!r}"
             )
         return matrices
     n, m, k = args.random
+    # First: with a zero size the product passes the cap, yet range(N) still runs N times.
+    if min(n, m, k) < 1:
+        raise ValueError("--random N M K must each be >= 1")
     _check_size("--random N M K", n * m * k)
     matrices = _random_instance(field, n, m, k, args.seed)
     if args.save_instance:
-        _emit(instance_to_json(field, matrices), args.save_instance)
+        _emit(certificate.instance_to_json(field, matrices), args.save_instance)
     return matrices
 
 
 def _cmd_solve(args) -> int:
-    field = parse_field(args.field)
+    field = fields.parse_field(args.field)
     matrices = _load_instance(args, field)
-    if field.is_finite:
-        witness = solve_unsafe_finite(matrices) if args.unsafe_finite else solve_finite(matrices)
+    if not field.is_finite:
+        witness = rational_solver.solve_rational(matrices)
+    elif args.unsafe_finite:
+        witness = rational_solver.solve_unsafe_finite(matrices)
     else:
-        witness = solve_rational(matrices)
-    verify_witness(matrices, witness)
-    _emit(witness_to_json(witness), args.output)
+        witness = finite_solver.solve_finite(matrices)
+    certificate.verify_witness(matrices, witness)
+    _emit(certificate.witness_to_json(witness), args.output)
     print("OK")
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    field, matrices = instance_from_json(_read_json(args.instance))
-    witness = witness_from_json(_read_json(args.witness))
+    field, matrices = certificate.instance_from_json(_read_json(args.instance))
+    witness = certificate.witness_from_json(_read_json(args.witness))
     if witness.field != field:
-        raise VerificationError("field-mismatch", detail="witness and instance fields differ")
-    verify_witness(matrices, witness)
+        raise certificate.VerificationError("field-mismatch", detail="witness and instance fields differ")
+    certificate.verify_witness(matrices, witness)
     print("OK")
     return EXIT_OK
 
@@ -132,15 +119,16 @@ def _cmd_verify(args) -> int:
 def _cmd_subspace_solve(args) -> int:
     obj = _read_json(args.input)
     errors._check_object(obj, "subspace input", ("field", "ambient", "subspaces"))
-    family = _subspaces_from_rows(field_from_json(obj["field"]), obj["ambient"], obj["subspaces"])
+    field = fields.field_from_json(obj["field"])
+    family = subspaces._subspaces_from_rows(field, obj["ambient"], obj["subspaces"])
     # Each subspace becomes an n x ambient representative matrix.
     _check_size("--n", args.n * obj["ambient"] * len(family))
-    witness = solve_subspace_dependence(family, args.n)
+    witness = subspaces.solve_subspace_dependence(family, args.n)
     if witness is None:
         _emit({"dependent": False}, args.output)
         print("INDEPENDENT")
     else:
-        _emit({"dependent": True, "witness": subspace_witness_to_json(witness)}, args.output)
+        _emit({"dependent": True, "witness": subspaces.subspace_witness_to_json(witness)}, args.output)
         print("OK")
     return EXIT_OK
 
@@ -148,32 +136,32 @@ def _cmd_subspace_solve(args) -> int:
 def _cmd_make_h(args) -> int:
     # H is n matrices of n x n, built over an extension found by a degree-n search.
     _check_size("--n", args.n ** 3)
-    field = parse_field(args.field)
-    basis = build_fullrank_basis(field, args.n)
-    _emit(fullrank_to_json(basis), args.output)
+    field = fields.parse_field(args.field)
+    basis = fullrank.build_fullrank_basis(field, args.n)
+    _emit(fullrank.fullrank_to_json(basis), args.output)
     print("OK")
     return EXIT_OK
 
 
 def _cmd_oracle(args) -> int:
-    field, matrices = instance_from_json(_read_json(args.input))
-    witness = brute_force_witness(matrices, cap=args.cap)
+    field, matrices = certificate.instance_from_json(_read_json(args.input))
+    witness = oracle.brute_force_witness(matrices, cap=args.cap)
     if witness is None:
         _emit({"dependent": False}, args.output)
         print("INDEPENDENT")
     else:
-        verify_witness(matrices, witness)
-        _emit({"dependent": True, "witness": witness_to_json(witness)}, args.output)
+        certificate.verify_witness(matrices, witness)
+        _emit({"dependent": True, "witness": certificate.witness_to_json(witness)}, args.output)
         print("OK")
     return EXIT_OK
 
 
 def _cmd_check_theorem(args) -> int:
     # The flags are checked before the field is built: that is bounded too, but not free.
-    _check_sweep_size(args.q, args.n, args.m, args.cap)
-    field = field_from_order(args.q)
-    report = exhaustive_theorem_check(field, args.n, args.m, cap=args.cap)
-    _emit(report_to_json(report), args.output)
+    oracle._check_sweep_size(args.q, args.n, args.m, args.cap)
+    field = fields.field_from_order(args.q)
+    report = oracle.exhaustive_theorem_check(field, args.n, args.m, cap=args.cap)
+    _emit(oracle.report_to_json(report), args.output)
     ok = report.all_have_witness and report.solver_agrees
     print(
         f"check-theorem q={args.q} n={args.n} m={args.m}: {report.instances} instances, "
@@ -222,14 +210,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="brute-force witness search over a finite field")
     p.add_argument("--input", required=True)
     p.add_argument("--output")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p.add_argument("--cap", type=int, default=errors.DEFAULT_CAP)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("check-theorem", help="exhaustively certify all instances of a shape")
     p.add_argument("--q", required=True, type=int)
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--m", required=True, type=int)
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p.add_argument("--cap", type=int, default=errors.DEFAULT_CAP)
     p.add_argument("--output")
     p.set_defaults(func=_cmd_check_theorem)
 
@@ -246,12 +234,13 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (VerificationError, SubspaceVerificationError) as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
+    # Input errors come first: naming subspaces.SubspaceVerificationError loads subspaces.
     except (OSError, json.JSONDecodeError, errors.ParseError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except (certificate.VerificationError, subspaces.SubspaceVerificationError) as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
     except (errors.Error, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -51,6 +51,11 @@ class PostconditionError(Error):
     """A solver post-condition failed (internal bug)."""
 
 
+# The most instances or candidates an exhaustive search may enumerate, and the
+# most matrix entries a CLI flag may ask for, unless a cap is given.
+DEFAULT_CAP = 10 ** 7
+
+
 def check(ok: bool, what: str) -> None:
     """Raise PostconditionError unless ok; unlike assert, this also runs under python -O."""
     if not ok:

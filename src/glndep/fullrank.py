@@ -75,7 +75,7 @@ def build_fullrank_basis(field: Field, n: int) -> FullRankBasis:
     if not field.is_finite:
         raise errors.InfiniteFieldError("full-rank subspaces are built over finite fields")
     if type(n) is not int or n < 1:
-        raise ValueError(f"n must be an int >= 1, got {n}")
+        raise ValueError(f"n must be an int >= 1, got {errors._excerpt(n)}")
     return _build(field, n)
 
 

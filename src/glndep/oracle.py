@@ -17,8 +17,6 @@ from .fields import Field, field_to_json
 from .matrix import Matrix, _one_field_and_shape, _trusted, det
 from .finite_solver import solve_finite
 
-DEFAULT_CAP = 10 ** 7
-
 
 @lru_cache(maxsize=None)
 def _gl_matrices(field: Field, n: int) -> tuple[Matrix, ...]:
@@ -32,7 +30,7 @@ def _gl_matrices(field: Field, n: int) -> tuple[Matrix, ...]:
     return tuple(found)
 
 
-def enumerate_gl(field: Field, n: int, cap: int = DEFAULT_CAP) -> tuple[Matrix, ...]:
+def enumerate_gl(field: Field, n: int, cap: int = errors.DEFAULT_CAP) -> tuple[Matrix, ...]:
     """All invertible n x n matrices, in lexicographic order of their entries."""
     if not field.is_finite:
         raise errors.InfiniteFieldError("GL enumeration needs a finite field")
@@ -98,7 +96,7 @@ def _first_witness(field: Field, pool, tables) -> Witness | None:
     return None
 
 
-def brute_force_witness(matrices, cap: int = DEFAULT_CAP) -> Witness | None:
+def brute_force_witness(matrices, cap: int = errors.DEFAULT_CAP) -> Witness | None:
     """First witness tuple over (GL union {0})^k in lexicographic order, or None.
 
     The pool is ordered zero first, then the GL enumeration (see _first_witness).
@@ -118,7 +116,7 @@ class TheoremReport(errors._Record):
     __slots__ = ("field", "n", "m", "instances", "all_have_witness", "solver_agrees", "failures")
 
 
-def exhaustive_theorem_check(field: Field, n: int, m: int, cap: int = DEFAULT_CAP) -> TheoremReport:
+def exhaustive_theorem_check(field: Field, n: int, m: int, cap: int = errors.DEFAULT_CAP) -> TheoremReport:
     """Sweep every (m+1)-tuple of n x m matrices over the field.
 
     For each instance the brute-force search must find a witness and the
@@ -165,10 +163,11 @@ def _check_sweep_size(q: int, n: int, m: int, cap: int) -> None:
     """
     for name, value, least in (("q", q, 2), ("n", n, 1), ("m", m, 1)):
         if type(value) is not int or value < least:
-            raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
+            raise ValueError(f"{name} must be an int >= {least}, got {errors._excerpt(value)}")
     exponent = n * m * (m + 1)
     if _power_exceeds(q, exponent, cap):
-        raise errors.TooLargeError(f"{q}^{exponent} instances exceed the cap of {cap}")
+        power = f"{errors._excerpt(q)}^{errors._excerpt(exponent)}"
+        raise errors.TooLargeError(f"{power} instances exceed the cap of {cap}")
 
 
 def _power_exceeds(base: int, exponent: int, cap: int) -> bool:

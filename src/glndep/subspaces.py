@@ -13,12 +13,9 @@ ambient dimension, and no dimension above n.
 
 from __future__ import annotations
 
-from . import errors
+from . import errors, finite_solver, oracle, rational_solver
 from .fields import Field, field_from_json, field_to_json
 from .matrix import Matrix, _check_rows, _one_field_and_shape, _trusted, rref, span_solve
-from .oracle import brute_force_witness
-from .finite_solver import solve_finite
-from .rational_solver import solve_rational
 
 FLAG_FULL = "full"
 FLAG_ZERO = "zero"
@@ -146,14 +143,14 @@ def solve_subspace_dependence(subspaces, n: int) -> SubspaceWitness | None:
     TooFewMatricesError.
     """
     if type(n) is not int or n < 1:
-        raise ValueError(f"n must be an int >= 1, got {n}")
+        raise ValueError(f"n must be an int >= 1, got {errors._excerpt(n)}")
     subspaces = list(subspaces)
     reps = [representative_matrix(L, n) for L in subspaces]
     field, _, m = _one_field_and_shape(reps)
     if len(subspaces) >= m + 1:
-        witness = solve_finite(reps) if field.is_finite else solve_rational(reps)
+        witness = finite_solver.solve_finite(reps) if field.is_finite else rational_solver.solve_rational(reps)
     elif field.is_finite:
-        witness = brute_force_witness(reps)
+        witness = oracle.brute_force_witness(reps)
         if witness is None:
             return None
     else:

@@ -1,10 +1,16 @@
 """Command-line behavior: pipelines, exit codes, deterministic output files."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import glndep
 from glndep.certificate import instance_to_json, witness_from_json
 from glndep.cli import main
 from glndep.fields import ExtensionField, PrimeField, RationalField
@@ -21,6 +27,24 @@ def write_instance(path, field, matrices):
 
 def unit_pair(field):
     return [Matrix.from_rows(field, [[1], [0]]), Matrix.from_rows(field, [[0], [1]])]
+
+
+def _python(*args, timeout=60):
+    """Run the interpreter on args in a child process that imports this glndep,
+    under a 2 GB address-space limit, so a runaway allocation fails the test."""
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = str(Path(glndep.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=timeout,
+        preexec_fn=limit_memory,
+    )
 
 
 def test_solve_then_verify_pipeline(tmp_path):
@@ -239,22 +263,8 @@ def test_make_h_over_large_extensions_ends(tmp_path, field, n):
     # Each modulus search ran past 15 s while it scanned candidates that are
     # provably reducible.  In a child process, so a regression fails by the
     # timeout instead of hanging the suite.
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import glndep
-
     out = tmp_path / "h.json"
-    src = str(Path(glndep.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "glndep.cli", "make-h", "--field", field, "--n", n, "--output", str(out)],
-        capture_output=True,
-        env={**os.environ, "PYTHONPATH": path},
-        timeout=60,
-    )
+    proc = _python("-m", "glndep.cli", "make-h", "--field", field, "--n", n, "--output", str(out))
     assert proc.returncode == 0, proc.stderr
     if field == "ext:2:40":
         # x^2 + x + a^35: a^35 has index 2^35, the first element of trace 1.
@@ -357,19 +367,10 @@ def test_subspace_row_of_wrong_length_is_input_error(tmp_path):
 def test_cli_import_adds_no_heavy_modules():
     # Every CLI process pays for what `import glndep.cli` loads.  Compared
     # against a bare interpreter, so modules that site preloads do not count.
-    import os
-    import subprocess
-    import sys
-
-    import glndep
-
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(glndep.__file__)))
-
     def loaded(statement):
-        script = f"import sys\n{statement}\nprint(' '.join(sys.modules))"
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+        proc = _python("-c", f"import sys\n{statement}\nprint(' '.join(sys.modules))")
         assert proc.returncode == 0, proc.stderr
-        return set(proc.stdout.split())
+        return set(proc.stdout.decode().split())
 
     added = loaded("import glndep.cli") - loaded("pass")
     assert "glndep.cli" in added
@@ -377,24 +378,9 @@ def test_cli_import_adds_no_heavy_modules():
 
 
 def test_console_entry_point():
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import glndep
-
-    # The child imports the glndep that this process imported, installed or not.
-    src = str(Path(glndep.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "glndep.cli", "check-theorem", "--q", "2", "--n", "1", "--m", "1"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    proc = _python("-m", "glndep.cli", "check-theorem", "--q", "2", "--n", "1", "--m", "1")
     assert proc.returncode == 0
-    assert "all_have_witness=True" in proc.stdout
+    assert b"all_have_witness=True" in proc.stdout
 
 
 def test_extension_field_over_the_cap_is_usage_error(tmp_path, capsys):
@@ -573,13 +559,6 @@ def test_bad_command_line_values_are_quoted_briefly(capsys, argv):
 def test_huge_rational_exponents_are_input_errors(tmp_path, command, exponent):
     # Fraction computes 10**exp, so each of these ran for minutes.  In a child
     # process, since that computation cannot be interrupted.
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import glndep
-
     field = {"kind": "rational"}
     if command == "subspace-solve":
         doc = {"field": field, "ambient": 1, "subspaces": [[[exponent]], [["1"]]]}
@@ -593,14 +572,7 @@ def test_huge_rational_exponents_are_input_errors(tmp_path, command, exponent):
         "verify": ["verify", "--instance", str(inp), "--witness", str(inp)],
         "subspace-solve": ["subspace-solve", "--input", str(inp), "--n", "1"],
     }[command]
-    src = str(Path(glndep.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "glndep.cli", *argv],
-        capture_output=True,
-        env={**os.environ, "PYTHONPATH": path},
-        timeout=10,
-    )
+    proc = _python("-m", "glndep.cli", *argv, timeout=10)
     assert proc.returncode == 3
     assert b"exponent" in proc.stderr
     assert len(proc.stderr) < 1024
@@ -610,29 +582,84 @@ def test_a_rational_output_over_the_digit_limit_is_refused_in_glndeps_words(tmp_
     # "1e4300" passes the input rules, but the multiplier -1/10^4300 has a
     # denominator of more digits than str() writes; the interpreter's message
     # used to reach stderr.  In a child process, so the digit limit is the default one.
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import glndep
-
     field = {"kind": "rational"}
     doc = {"field": field, "matrices": [
         {"field": field, "rows": 1, "cols": 1, "entries": [[value]]} for value in ("1e4300", "1")
     ]}
     inp, out = tmp_path / "input.json", tmp_path / "w.json"
     inp.write_text(json.dumps(doc))
-    src = str(Path(glndep.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "glndep.cli", "solve", "--field", "rational", "--input", str(inp), "--output", str(out)],
-        capture_output=True,
-        env={**os.environ, "PYTHONPATH": path},
-        timeout=30,
-    )
+    proc = _python("-m", "glndep.cli", "solve", "--field", "rational", "--input", str(inp), "--output", str(out),
+                   timeout=30)
     assert proc.returncode == 2
     assert proc.stderr == b"error: a rational value has more digits than the limit of 4,300\n"
     assert b"set_int_max_str_digits" not in proc.stderr
     assert len(proc.stderr) < 1024
     assert not out.exists()
+
+
+_DIGITS_1500, _DIGITS_4000 = "1" * 1500, "7" * 4000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["make-h", "--field", "prime:2", "--n", _DIGITS_1500],
+        ["check-theorem", "--q", "3", "--n", _DIGITS_1500, "--m", "1"],
+        ["check-theorem", "--q", _DIGITS_4000, "--n", "1", "--m", "1"],
+        ["solve", "--field", "rational", "--random", "1", "1", _DIGITS_4000],
+        ["make-h", "--field", "prime:2", "--n", "-" + _DIGITS_1500],
+        ["solve", "--field", "prime:3", "--random", _DIGITS_1500, "0", "3"],
+    ],
+    ids=["make-h-n", "sweep-n", "sweep-q", "random-k", "make-h-negative-n", "random-zero-m"],
+)
+def test_refusals_of_huge_flag_values_are_short(argv):
+    # Each refusal used to echo the value whole (1.5 to 4 KB), or to format
+    # n**3, whose 4,500 digits are more than str() writes.  --random with a
+    # zero size passed the cap and built range(N) of empty rows until memory ran out.
+    proc = _python("-m", "glndep.cli", *argv)
+    assert proc.returncode == 2, proc.stderr[-300:]
+    assert b"set_int_max_str_digits" not in proc.stderr
+    assert len(proc.stderr) < 1024
+
+
+_LOADED = (
+    "import sys, types\n"
+    "from glndep.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(*[n for n, m in sys.modules.items() if n.startswith('glndep.') and type(m) is types.ModuleType])\n"
+    "sys.exit(code)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "command, unloaded",
+    [
+        ("verify", {"fullrank", "finite_solver", "rational_solver", "subspaces", "oracle"}),
+        ("solve-rational", {"fullrank", "finite_solver", "oracle", "subspaces"}),
+        ("make-h", {"certificate", "finite_solver", "rational_solver", "subspaces", "oracle"}),
+    ],
+)
+def test_a_command_loads_only_the_modules_it_runs(tmp_path, command, unloaded):
+    # A submodule registered lazily is a types.ModuleType subclass until its
+    # first attribute access loads it; type() reads no attribute.
+    inst, wit = tmp_path / "inst.json", tmp_path / "w.json"
+    write_instance(inst, GF2, unit_pair(GF2))
+    assert main(["solve", "--field", "prime:2", "--input", str(inst), "--output", str(wit)]) == 0
+    argv = {
+        "verify": ["verify", "--instance", str(inst), "--witness", str(wit)],
+        "solve-rational": ["solve", "--field", "rational", "--random", "2", "2", "3", "--output", str(wit)],
+        "make-h": ["make-h", "--field", "prime:3", "--n", "2", "--output", str(tmp_path / "h.json")],
+    }[command]
+    proc = _python("-c", _LOADED, *argv)
+    assert proc.returncode == 0, proc.stderr[-300:]
+    loaded = set(proc.stdout.decode().splitlines()[-1].split())
+    assert "glndep.matrix" in loaded
+    assert loaded & {f"glndep.{name}" for name in unloaded} == set()
+
+
+def test_help_under_warnings_as_errors_is_clean():
+    # A registered glndep.cli would make runpy warn that it was imported before it ran.
+    proc = _python("-W", "error", "-m", "glndep.cli", "--help")
+    assert proc.returncode == 0
+    assert proc.stderr == b""
+    assert b"check-theorem" in proc.stdout

@@ -80,8 +80,11 @@ def _text(value) -> str:
         return str(value)
 
 
-# 10 ** 5000 has more digits than int() reads from text by default (4,300).
-_HUGE = st.sampled_from([10 ** 400, -(10 ** 400), 10 ** 5000, 2 ** 64, 2 ** 64 + 1, 2 ** 31, -1, 0, 10 ** 12])
+# 10 ** 5000 has more digits than int() reads from text by default (4,300);
+# the cube of 10 ** 1499, 4,498 digits, has more than str() writes.
+_HUGE = st.sampled_from(
+    [10 ** 400, -(10 ** 400), 10 ** 1499, 10 ** 5000, 2 ** 64, 2 ** 64 + 1, 2 ** 31, -1, 0, 10 ** 12]
+)
 _JUNK = st.one_of(
     st.none(),
     st.booleans(),
@@ -175,6 +178,7 @@ def _runs(draw, tmp):
         ["solve", "solve-random", "verify", "oracle", "subspace-solve", "make-h", "check-theorem"]
     ))
     small = st.integers(-1, 3).map(str)
+    size = small | _HUGE.map(_text)
     if command in ("solve", "verify", "oracle"):
         mutate_witness = command == "verify" and draw(st.booleans())
         _write(tmp / "inst.json", instance if mutate_witness else draw(_mutated(instance)))
@@ -184,7 +188,7 @@ def _runs(draw, tmp):
             selector = draw(_SELECTORS)
         return ["solve", "--field", selector, "--input", inst, "--output", out]
     if command == "solve-random":
-        n, m, k = draw(small), draw(small), draw(small)
+        n, m, k = draw(size), draw(size), draw(size)
         return ["solve", "--field", draw(_SELECTORS), "--random", n, m, k, "--output", out]
     if command == "verify":
         return ["verify", "--instance", inst, "--witness", wit]
@@ -194,7 +198,7 @@ def _runs(draw, tmp):
         _write(tmp / "fam.json", draw(_mutated(family)))
         return ["subspace-solve", "--input", fam, "--n", draw(small), "--output", out]
     if command == "make-h":
-        return ["make-h", "--field", draw(_SELECTORS), "--n", draw(small), "--output", out]
+        return ["make-h", "--field", draw(_SELECTORS), "--n", draw(size), "--output", out]
     # The cap keeps every sweep that is allowed to start short.
     q = draw(st.one_of(st.integers(-2, 9), _HUGE, st.just(2 ** 61 - 1)))
     n, m, cap = draw(small), draw(small), draw(st.sampled_from(["-1", "0", "100", "1000"]))

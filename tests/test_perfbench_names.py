@@ -2,7 +2,7 @@
 
 A renamed or deleted function would otherwise only show up as a "not traced"
 line in a traced benchmark run.  The tracer's tables are read with ``ast``,
-so the tracer itself is not imported.  The names in them also count as callers
+so this process does not import the tracer; one test runs it in a child.  The names in them also count as callers
 in the check that no definition in src is left that nothing calls, next to
 which a second check finds defaulted parameters that no caller sets.
 """
@@ -40,6 +40,45 @@ def test_traced_methods_resolve():
     methods = _tracer_table("METHODS")
     assert methods
     assert [attr for _, attr in methods if attr not in vars(Matrix)] == []
+
+
+def _run_python(code):
+    import os
+    import subprocess
+    import sys
+
+    path = os.pathsep.join(p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-300:]
+    return proc.stdout.split()
+
+
+def test_a_bare_import_registers_every_traced_module():
+    # The tracer walks sys.modules; a lazily registered module is in it, and
+    # the tracer's own getattr and vars() load it before anything is wrapped.
+    registered = _run_python("import sys, glndep; print(*sys.modules)")
+    assert sorted({f"glndep.{mod}" for mod, _ in _tracer_table("FUNCTIONS")} - set(registered)) == []
+
+
+def test_the_tracer_leaves_no_wrapper_behind():
+    # Lazy modules load while the tracer walks them.  One that took a name from a
+    # module already wrapped would keep the wrapper, and uninstall() would miss
+    # it.  The names the tracer did not find are printed too; there must be none.
+    leftovers = _run_python("\n".join([
+        "import sys",
+        f"sys.path.insert(0, {str(PERFBENCH)!r})",
+        "import glndep",
+        "from tracer import Tracer",
+        "tracer = Tracer()",
+        "tracer.install()",
+        "tracer.uninstall()",
+        "print(*[f'{name}.{key}' for name, module in list(sys.modules.items()) if name.startswith('glndep')",
+        "        for key, value in vars(module).items()",
+        "        if getattr(getattr(value, '__code__', None), 'co_filename', '') == tracer.wrap.__code__.co_filename])",
+        "print(*tracer.missing)",
+    ]))
+    assert leftovers == []
 
 
 def _definitions(tree):
