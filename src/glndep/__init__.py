@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 _HOMES = {
     "PrimeField": "fields",
     "ExtensionField": "fields",
-    "RationalField": "fields",
+    "RationalField": "rationals",
     "parse_field": "fields",
     "field_from_order": "fields",
     "field_to_json": "fields",
@@ -64,7 +64,9 @@ __all__ = ["errors", *_HOMES]
 # tracer that replaces functions does, loads each module before those it takes
 # names from, so the names it took are still the originals.  cli is never
 # registered: `python -m glndep.cli` must find it unimported.
-_LAZY = ("subspaces", "oracle", "rational_solver", "finite_solver", "fullrank", "certificate", "matrix", "fields")
+_LAZY = (
+    "subspaces", "oracle", "rational_solver", "finite_solver", "fullrank", "certificate", "matrix", "rationals", "fields"
+)
 for _name in _LAZY:
     _spec = importlib.util.find_spec(f"{__name__}.{_name}")
     _spec.loader = importlib.util.LazyLoader(_spec.loader)

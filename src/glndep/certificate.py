@@ -21,7 +21,7 @@ TAG_ZERO = "zero"
 TAG_INVERTIBLE = "inv"
 
 
-class VerificationError(errors.Error):
+class VerificationError(errors.WitnessError):
     """Raised when a witness fails verification; carries the reason and location."""
 
     def __init__(self, reason: str, index=None, row=None, col=None, detail: str = ""):

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from functools import partial
 
 from . import certificate, errors, fields, finite_solver, fullrank, matrix, oracle, rational_solver, subspaces
@@ -67,7 +66,7 @@ def _random_instance(field, n: int, m: int, k: int, seed: int):
                 for _ in range(n)
             ]
         else:
-            rows = [[Fraction(rng.randint(-3, 3)) for _ in range(m)] for _ in range(n)]
+            rows = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(n)]  # made Fractions by from_rows
         matrices.append(matrix.Matrix.from_rows(field, rows))
     return matrices
 
@@ -234,11 +233,10 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    # Input errors come first: naming subspaces.SubspaceVerificationError loads subspaces.
     except (OSError, json.JSONDecodeError, errors.ParseError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (certificate.VerificationError, subspaces.SubspaceVerificationError) as exc:
+    except errors.WitnessError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY
     except (errors.Error, ValueError, ZeroDivisionError) as exc:

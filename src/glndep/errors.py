@@ -47,6 +47,11 @@ class ExhaustedBoundError(Error):
     """No valid correction scalar found within the scan bound."""
 
 
+class WitnessError(Error):
+    """A witness failed verification: base of certificate.VerificationError and
+    subspaces.SubspaceVerificationError, which a caller catches without loading either."""
+
+
 class PostconditionError(Error):
     """A solver post-condition failed (internal bug)."""
 

@@ -2,18 +2,20 @@
 
 Elements are plain Python values: residues (int) for GF(p), length-k coefficient
 tuples over GF(p) for GF(p^k) (lowest degree first), and Fraction for the
-rationals.  Field objects carry the operations and are immutable and hashable,
-so matrices and witnesses can share them freely.  All results are produced in
-canonical form.  field.vector(values) is the one canonicaliser: it makes a
-whole row or vector canonical in one call, and raises for the first value
-that has no canonical form; field.validate(a) accepts only a canonical a.
+rationals, whose RationalField lives in rationals.  rationals imports this
+module, so this one imports rationals only inside the functions that build or
+name a RationalField, and a process that builds none never loads it.  Field objects carry the operations and are
+immutable and hashable, so matrices and witnesses can share them freely.  All
+results are produced in canonical form.  field.vector(values) is the one
+canonicaliser: it makes a whole row or vector canonical in one call, and
+raises for the first value that has no canonical form; field.validate(a)
+accepts only a canonical a.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
 from math import gcd
@@ -341,85 +343,6 @@ def _table_arithmetic(field: ExtensionField) -> tuple:
     return add, neg, mul, inv
 
 
-# The exponent of a decimal string that Fraction accepts, without its sign.
-_EXPONENT = re.compile(r"e[-+]?(\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
-
-
-class RationalField(Field):
-    """The rational numbers with Fraction elements (always reduced, denominator > 0)."""
-
-    def __init__(self):
-        self.cardinality = None
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
-
-    def __repr__(self):
-        return "QQ"
-
-    def __eq__(self, other):
-        return type(other) is RationalField
-
-    def __hash__(self):
-        return hash("rational")
-
-    def validate(self, a) -> None:
-        if type(a) is not Fraction:
-            raise TypeError(f"rational element must be a Fraction, got {type(a).__name__}")
-
-    def vector(self, values) -> tuple:
-        """values as a tuple of elements: each Fraction as it is, each int made a Fraction."""
-        v = list(values)
-        for i, a in enumerate(v):
-            if type(a) is not Fraction:
-                if type(a) is not int:
-                    raise TypeError(f"rational element must be an int or Fraction, got {errors._excerpt(a)}")
-                v[i] = Fraction(a)
-        return tuple(v)
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero in QQ")
-        return 1 / a
-
-    def element_to_json(self, a) -> str:
-        # str refuses an int of more digits than sys.get_int_max_str_digits(),
-        # and element_from_json would refuse the same digits when read back.
-        try:
-            return str(a)
-        except ValueError:
-            raise errors.TooLargeError(
-                f"a rational value has more digits than the limit of {sys.get_int_max_str_digits():,}"
-            ) from None
-
-    def element_from_json(self, obj):
-        if not isinstance(obj, str):
-            raise errors.ParseError(f"rational element must be a string, got {errors._excerpt(obj)}")
-        # Fraction computes 10**exp for an exponent of any size; "1e100000000"
-        # takes minutes.
-        exp = _EXPONENT.search(obj)
-        if exp:
-            limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-            digits = exp[1].replace("_", "").lstrip("0")
-            if len(digits) > len(str(limit)) or int(digits or "0") > limit:
-                raise errors.ParseError(
-                    f"bad rational element string {errors._excerpt(obj)}: "
-                    f"its exponent is larger than the limit of {limit:,}"
-                )
-        try:
-            return Fraction(obj)
-        except (ValueError, ZeroDivisionError):
-            raise errors.ParseError(f"bad rational element string: {errors._excerpt(obj)}") from None
-
-
 def _selector_int(text: str) -> int:
     """int(text).  int() refuses a decimal number only for having more digits
     than sys.get_int_max_str_digits(); that is said here without its advice."""
@@ -440,6 +363,8 @@ def parse_field(text: str) -> Field:
         if parts[0] == "ext" and len(parts) == 3:
             return ExtensionField(_selector_int(parts[1]), _selector_int(parts[2]))
         if parts[0] == "rational" and len(parts) == 1:
+            from .rationals import RationalField
+
             return RationalField()
     except (ValueError, errors.NotPrimeError) as exc:
         raise errors.ParseError(f"bad field selector {errors._excerpt(text)}: {exc}") from None
@@ -475,6 +400,8 @@ def field_to_json(field: Field) -> dict:
         return {"kind": "prime", "p": field.p}
     if isinstance(field, ExtensionField):
         return {"kind": "ext", "p": field.p, "k": field.k, "modulus": [str(c) for c in field.modulus]}
+    from .rationals import RationalField
+
     if isinstance(field, RationalField):
         return {"kind": "rational"}
     raise TypeError(f"unknown field {field!r}")
@@ -495,6 +422,8 @@ def field_from_json(obj) -> Field:
             base = PrimeField(obj["p"])
             return ExtensionField(base.p, obj["k"], [base.element_from_json(c) for c in modulus])
         if kind == "rational":
+            from .rationals import RationalField
+
             return RationalField()
     except KeyError as exc:
         raise errors.ParseError(f"field descriptor missing {exc}") from None

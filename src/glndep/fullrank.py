@@ -125,12 +125,12 @@ def fullrank_from_json(obj) -> FullRankBasis:
     errors._check_positive_int(n, "full-rank basis 'n'")
     modulus = obj["modulus"]
     if not isinstance(modulus, list) or len(modulus) != n + 1:
-        raise errors.ParseError(f"full-rank basis 'modulus' must be a list of {n + 1} coefficients")
+        raise errors.ParseError(f"full-rank basis 'modulus' must be a list of {errors._excerpt(n + 1)} coefficients")
     dec = field.element_from_json
     modulus = tuple(dec(c) for c in modulus)
     mats = obj["basis"]
     if not isinstance(mats, list) or len(mats) != n:
-        raise errors.ParseError(f"full-rank basis needs {n} matrices")
+        raise errors.ParseError(f"full-rank basis needs {errors._excerpt(n)} matrices")
     basis = tuple(matrix_from_json(m) for m in mats)
     for b in basis:
         if b.field != field or b.rows != n or b.cols != n:

@@ -1,22 +1,14 @@
 """Dense exact matrices over a Field, and the elimination behind every matrix question.
 
 Matrices are immutable row-major tuples of canonical field elements; a vector
-is a plain tuple of them.  RREF, rank, kernel, determinant, span solving and
-the GL(n) transform all read one Gauss-Jordan pass; span_solve answers every
-target it is given over one elimination of the generators.  Pivoting is always
-"first nonzero", never by magnitude, so every result is deterministic and
-reproducible.
+is a plain tuple of them.  RREF, rank, kernel, determinant and span solving
+all read one Gauss-Jordan pass; span_solve answers every target it is given
+over one elimination of the generators.  Pivoting is always "first nonzero",
+never by magnitude, so every result is deterministic and reproducible.
 
-Over QQ, elimination and products run on Python ints.  Elimination clears
-each row of denominators, divides exactly by the previous pivot and makes one
-Fraction per entry at the end; every integer row is a nonzero multiple of the
-row that elimination on Fractions would hold.  A product clears the rows of
-its left factor and the columns of its right factor once, and makes one
-Fraction per entry from an integer dot product.  So the results are the same values.  The
-correction step of rational_solver also runs on integer rows: its scalar scan
-eliminates cleared row pairs (see _integer_row_pairs), and its multiplier
-updates a + c*b make one Fraction per entry (see _add_scaled).  Other sums
-stay on Fractions.
+Over QQ, elimination, products and a + c*b run on Python ints, in kernels
+that the RationalField a matrix holds carries (see rationals), so this module
+neither imports that one nor compiles them for a finite field.
 
 Matrices combine in two ways only: a + c*b through _add_scaled (the
 exhaustive sums of fullrank.check_fullrank_basis, correction steps, scalar
@@ -33,10 +25,6 @@ about 0.44 MB (CPython 3.11).
 """
 
 from __future__ import annotations
-
-import operator
-from fractions import Fraction
-from math import lcm
 
 from . import errors
 from .fields import Field, field_from_json, field_to_json
@@ -122,7 +110,7 @@ class Matrix(errors._Record):
             raise errors.ShapeError(f"{len(aent)}x{inner} * {len(bent)}x{cols}")
         f = self.field
         if f.cardinality is None:
-            return _trusted(f, _rational_product(aent, bent))
+            return _trusted(f, f.product(aent, bent))
         add, mul, z = f.add, f.mul, f.zero
         out = []
         for arow in aent:
@@ -209,7 +197,7 @@ def _gauss_jordan(field: Field, rows, limit: int, reduce: bool = True):
     reduced rows (lists), the pivot columns, and the determinant factor: when
     every row holds a pivot, the product of the pivots, negated once per row
     swap.  For a square matrix with a pivot in every column that factor is its
-    determinant.  Over QQ see _rational_gauss_jordan.
+    determinant.  Over QQ see rationals._rational_gauss_jordan.
 
     With reduce false the pass is forward elimination only, for callers that
     read only the pivot columns and the factor: each pivot updates only the
@@ -226,7 +214,7 @@ def _gauss_jordan(field: Field, rows, limit: int, reduce: bool = True):
     factor are the values the full-row update gives.
     """
     if field.cardinality is None:
-        return _rational_gauss_jordan(rows, limit, reduce)
+        return field.gauss_jordan(rows, limit, reduce)
     z, o = field.zero, field.one
     add, mul, neg = field.add, field.mul, field.neg
     work = [list(row) for row in rows]
@@ -260,38 +248,15 @@ def _gauss_jordan(field: Field, rows, limit: int, reduce: bool = True):
     return work, tuple(pivot_cols), factor
 
 
-def _integer_row(row) -> tuple[list, int]:
-    """(ints, d) with row == ints / d: a rational row cleared of denominators
-    by d, the lcm of its denominators."""
-    dens = [e.denominator for e in row]
-    d = lcm(*dens)
-    return [e.numerator * (d // q) for e, q in zip(row, dens)], d
-
-
-def _integer_row_pairs(a: Matrix, b: Matrix):
-    """(s, t, d) per row pair of two rational matrices of one shape: integer
-    lists with the row of a == s / d and the row of b == t / d, d being the
-    lcm of the pair's denominators."""
-    w = len(a.entries[0])
-    for ra, rb in zip(a.entries, b.entries):
-        ints, d = _integer_row(ra + rb)
-        yield ints[:w], ints[w:], d
-
-
 def _add_scaled(a: Matrix, c, b: Matrix) -> Matrix:
     """a + c * b for matrices of one shape and field and an element c of it.
 
-    Over QQ each row pair is cleared of denominators once and each entry is
-    one Fraction (the canonical Fraction(0) when it is zero); over a finite
-    field each entry is add(e, mul(c, s)).
+    Over QQ see rationals._rational_add_scaled; over a finite field each
+    entry is add(e, mul(c, s)).
     """
     f = a.field
     if f.cardinality is None:
-        cn, cd, z = c.numerator, c.denominator, Fraction(0)
-        return _trusted(f, tuple([
-            tuple([Fraction(e, d * cd) if (e := cd * s + cn * t) else z for s, t in zip(srow, trow)])
-            for srow, trow, d in _integer_row_pairs(a, b)
-        ]))
+        return _trusted(f, f.add_scaled(a, c, b))
     add, mul = f.add, f.mul
     return _trusted(f, tuple([
         tuple([add(e, mul(c, s)) for e, s in zip(ra, rb)]) for ra, rb in zip(a.entries, b.entries)
@@ -306,79 +271,6 @@ def _weighted_sum(gs, matrices) -> Matrix:
     for g, M in pairs:
         total = total + g * M
     return total
-
-
-def _rational_product(aent, bent) -> tuple:
-    """The entries of a * b over QQ, on integers.
-
-    Each row of a and each column of b is cleared of denominators once; an
-    entry is then one integer dot product over the two common denominators,
-    made into one Fraction (the canonical Fraction(0) when it is zero).
-    """
-    z, mul = Fraction(0), operator.mul
-    rows = [_integer_row(row) for row in aent]
-    cols = [_integer_row(col) for col in zip(*bent)]
-    return tuple([
-        tuple([Fraction(dot, da * db) if (dot := sum(map(mul, ra, cb))) else z for cb, db in cols])
-        for ra, da in rows
-    ])
-
-
-def _rational_gauss_jordan(rows, limit: int, reduce: bool):
-    """_gauss_jordan over QQ, fraction-free with exact division (Bareiss 1968).
-
-    Each row (of Fractions, or of ints, whose denominator is 1) is cleared of
-    denominators once; den is the product of those denominators.  At a pivot
-    pv every other row becomes (pv*row - c*pivot_row) // prev, prev being the
-    previous pivot (1 at first), also when c is zero.  By Sylvester's
-    identity every entry is then a minor of the cleared matrix, so each
-    division is exact, and each row is a nonzero multiple of the row the
-    Fraction loop holds: the same entries are zero, and the pivots and swaps
-    are the same.  Every pivot row ends holding the last pivot prev at its
-    pivot column, so with reduce the pivot rows are divided by prev, one
-    Fraction per entry, which gives the Fraction loop's rows; the rows below
-    the rank stay Fractions up to a nonzero scale (callers test them for
-    zero).  For a full-rank square matrix prev is the cleared determinant up
-    to the swaps' sign, so the factor is sign * prev / den.  With reduce
-    false each pivot updates only the rows below it (Bareiss's forward
-    elimination); those rows get the same integers as in the full pass, so
-    every division stays exact, and the rows are returned unread as ints.
-    """
-    work = []
-    den = 1
-    for row in rows:
-        ints, d = _integer_row(row)
-        den *= d
-        work.append(ints)
-    nrows = len(work)
-    pivot_cols = []
-    prev = sign = 1
-    for col in range(limit):
-        pr = len(pivot_cols)
-        if pr == nrows:
-            break
-        pivot = next((r for r in range(pr, nrows) if work[r][col]), None)
-        if pivot is None:
-            continue
-        if pivot != pr:
-            work[pr], work[pivot] = work[pivot], work[pr]
-            sign = -sign
-        src = work[pr]
-        pv = src[col]
-        for r in range(0 if reduce else pr + 1, nrows):
-            row = work[r]
-            c = row[col]
-            if c and r != pr:
-                work[r] = [(pv * e - c * s) // prev for e, s in zip(row, src)]
-            elif r != pr:
-                work[r] = [pv * e // prev for e in row]
-        prev = pv
-        pivot_cols.append(col)
-    if reduce:
-        z = Fraction(0)
-        rank = len(pivot_cols)
-        work = [[Fraction(e, prev if t < rank else 1) if e else z for e in row] for t, row in enumerate(work)]
-    return work, tuple(pivot_cols), Fraction(sign * prev, den)
 
 
 def rref(matrix: Matrix) -> RrefResult:
@@ -411,7 +303,7 @@ def kernel_basis(matrix: Matrix) -> list[tuple]:
 
 def det(matrix: Matrix):
     """Exact determinant, zero below full rank: the pivot product signed by the row
-    swaps, over QQ the signed last pivot over the rows' denominators (see _rational_gauss_jordan)."""
+    swaps, over QQ the signed last pivot over the rows' denominators (see rationals._rational_gauss_jordan)."""
     n, cols = matrix.rows, matrix.cols
     if n != cols:
         raise errors.ShapeError(f"determinant of a {n}x{cols} matrix")
@@ -449,37 +341,6 @@ def span_solve(field: Field, targets, generators) -> list:
     return out
 
 
-def find_gl_transform(m1: Matrix, m2: Matrix) -> Matrix | None:
-    """An invertible g with g * m1 == m2, or None when the row spaces differ.
-
-    Both matrices are written as coordinate matrices over the shared canonical
-    row basis, the nonzero rows of their common RREF; a row's coordinates are
-    its entries at the pivot columns.  Those coordinate columns are completed
-    to invertible p1 and p2 by the standard basis vectors of smallest index
-    that keep them independent, the pivot columns of one elimination of
-    [columns | I].  g is the one solution of g * p1 == p2: eliminating
-    the rows of [p1^T | p2^T] with pivots in the first n columns leaves
-    [I | g^T].  Equal inputs produce the identity, and the transform onto the
-    identity is the inverse.  The result is re-verified before returning.
-    """
-    field, n, _ = _one_field_and_shape([m1, m2])
-    reduced = rref(m1)
-    if reduced.rref != rref(m2).rref:
-        return None
-    s = reduced.rank
-    units = [tuple([field.one if t == idx else field.zero for t in range(n)]) for idx in range(n)]
-    completed = []
-    for m in (m1, m2):
-        cols = [tuple([r[c] for r in m.entries]) for c in reduced.pivot_cols]
-        _, pivot_cols, _ = _gauss_jordan(field, zip(*cols, *units), s + n, reduce=False)
-        errors.check(pivot_cols[:s] == tuple(range(s)), "the coordinate columns are dependent")
-        completed.append(cols + [units[p - s] for p in pivot_cols[s:]])
-    work, _, _ = _gauss_jordan(field, [c1 + c2 for c1, c2 in zip(*completed)], n)
-    g = _trusted(field, tuple(list(zip(*[row[n:] for row in work]))))
-    errors.check(det(g) != field.zero and g * m1 == m2, "the transform is singular or misses m2")
-    return g
-
-
 def matrix_to_json(matrix: Matrix) -> dict:
     enc = matrix.field.element_to_json
     return {
@@ -498,12 +359,12 @@ def matrix_from_json(obj) -> Matrix:
         errors._check_positive_int(value, f"matrix {key!r}")
     entries = obj["entries"]
     if not isinstance(entries, list) or len(entries) != rows:
-        raise errors.ParseError(f"matrix 'entries' must be a list of {rows} rows")
+        raise errors.ParseError(f"matrix 'entries' must be a list of {errors._excerpt(rows)} rows")
     dec = field.element_from_json
     parsed = []
     for row in entries:
         if not isinstance(row, list) or len(row) != cols:
-            raise errors.ParseError(f"matrix row must be a list of {cols} entries")
+            raise errors.ParseError(f"matrix row must be a list of {errors._excerpt(cols)} entries")
         parsed.append(tuple(dec(e) for e in row))
     # element_from_json returns canonical elements, and the shape is checked above.
     return _trusted(field, tuple(parsed))

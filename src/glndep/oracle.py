@@ -11,11 +11,10 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-from . import errors
+from . import errors, finite_solver
 from .certificate import Witness, verify_witness
 from .fields import Field, field_to_json
 from .matrix import Matrix, _one_field_and_shape, _trusted, det
-from .finite_solver import solve_finite
 
 
 @lru_cache(maxsize=None)
@@ -36,7 +35,7 @@ def enumerate_gl(field: Field, n: int, cap: int = errors.DEFAULT_CAP) -> tuple[M
         raise errors.InfiniteFieldError("GL enumeration needs a finite field")
     q = field.cardinality
     if _power_exceeds(q, n * n, cap):
-        raise errors.TooLargeError(f"{q}^{n * n} candidate matrices exceed the cap of {cap}")
+        raise errors.TooLargeError(f"{q}^{n * n} candidate matrices exceed the cap of {errors._excerpt(cap)}")
     return _gl_matrices(field, n)
 
 
@@ -53,7 +52,7 @@ def _pool(field: Field, n: int, k: int, cap: int) -> tuple[Matrix, ...]:
         if size > cap:  # then so is every power of the pool size
             break
     if _power_exceeds(size + 1, k, cap):
-        raise errors.TooLargeError(f"(1 + |GL({n}, {q})|)^{k} candidate tuples exceed the cap of {cap}")
+        raise errors.TooLargeError(f"(1 + |GL({n}, {q})|)^{k} candidate tuples exceed the cap of {errors._excerpt(cap)}")
     return (Matrix.zero(field, n, n),) + enumerate_gl(field, n, cap)
 
 
@@ -147,7 +146,7 @@ def exhaustive_theorem_check(field: Field, n: int, m: int, cap: int = errors.DEF
             all_have = False
             failures.append({"instance": instances - 1, "kind": "no-witness"})
         try:
-            verify_witness(mats, solve_finite(mats))
+            verify_witness(mats, finite_solver.solve_finite(mats))
         except errors.Error as exc:
             agrees = False
             failures.append({"instance": instances - 1, "kind": f"solver: {exc}"})
@@ -167,7 +166,7 @@ def _check_sweep_size(q: int, n: int, m: int, cap: int) -> None:
     exponent = n * m * (m + 1)
     if _power_exceeds(q, exponent, cap):
         power = f"{errors._excerpt(q)}^{errors._excerpt(exponent)}"
-        raise errors.TooLargeError(f"{power} instances exceed the cap of {cap}")
+        raise errors.TooLargeError(f"{power} instances exceed the cap of {errors._excerpt(cap)}")
 
 
 def _power_exceeds(base: int, exponent: int, cap: int) -> bool:

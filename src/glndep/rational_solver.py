@@ -45,20 +45,20 @@ from fractions import Fraction
 
 from . import errors
 from .certificate import Witness, _check_instance
-from .fields import Field, RationalField
+from .fields import Field
 from .matrix import (
     Matrix,
     _add_scaled,
-    _integer_row_pairs,
-    _rational_gauss_jordan,
+    _gauss_jordan,
+    _one_field_and_shape,
     _trusted,
     _weighted_sum,
     det,
-    find_gl_transform,
     kernel_basis,
     rref,
     span_solve,
 )
+from .rationals import RationalField, _integer_row_pairs, _rational_gauss_jordan
 
 
 def solve_rational(matrices) -> Witness:
@@ -142,6 +142,37 @@ def solve_column_pair(w1: Matrix, w2: Matrix) -> list[Matrix]:
     """Multipliers [g, -I] for two nonzero columns of one height and field,
     where g is an invertible matrix mapping w1 onto w2 (see find_gl_transform)."""
     return [find_gl_transform(w1, w2), -Matrix.identity(w1.field, w1.rows)]
+
+
+def find_gl_transform(m1: Matrix, m2: Matrix) -> Matrix | None:
+    """An invertible g with g * m1 == m2, or None when the row spaces differ.
+
+    Both matrices are written as coordinate matrices over the shared canonical
+    row basis, the nonzero rows of their common RREF; a row's coordinates are
+    its entries at the pivot columns.  Those coordinate columns are completed
+    to invertible p1 and p2 by the standard basis vectors of smallest index
+    that keep them independent, the pivot columns of one elimination of
+    [columns | I].  g is the one solution of g * p1 == p2: eliminating
+    the rows of [p1^T | p2^T] with pivots in the first n columns leaves
+    [I | g^T].  Equal inputs produce the identity, and the transform onto the
+    identity is the inverse.  The result is re-verified before returning.
+    """
+    field, n, _ = _one_field_and_shape([m1, m2])
+    reduced = rref(m1)
+    if reduced.rref != rref(m2).rref:
+        return None
+    s = reduced.rank
+    units = [tuple([field.one if t == idx else field.zero for t in range(n)]) for idx in range(n)]
+    completed = []
+    for m in (m1, m2):
+        cols = [tuple([r[c] for r in m.entries]) for c in reduced.pivot_cols]
+        _, pivot_cols, _ = _gauss_jordan(field, zip(*cols, *units), s + n, reduce=False)
+        errors.check(pivot_cols[:s] == tuple(range(s)), "the coordinate columns are dependent")
+        completed.append(cols + [units[p - s] for p in pivot_cols[s:]])
+    work, _, _ = _gauss_jordan(field, [c1 + c2 for c1, c2 in zip(*completed)], n)
+    g = _trusted(field, tuple(list(zip(*[row[n:] for row in work]))))
+    errors.check(det(g) != field.zero and g * m1 == m2, "the transform is singular or misses m2")
+    return g
 
 
 def row_dependences(matrices) -> list[tuple]:
@@ -265,7 +296,7 @@ def choose_correction_scalar(field: Field, conditions):
     Over the rationals the scan runs x = 1, 2, ...; each condition is a nonzero
     polynomial of degree at most n in x, so a valid x exists among the first
     n * len(conditions) + 1 candidates.  Each row pair of a condition is
-    cleared of denominators once (see matrix._integer_row_pairs), so a
+    cleared of denominators once (see rationals._integer_row_pairs), so a
     candidate v is tested on the integer rows s + v*t, each a positive
     multiple of the row of base + v * direction, with a fraction-free
     elimination.  Over a finite field the scan walks the nonzero elements in

@@ -21,7 +21,7 @@ FLAG_FULL = "full"
 FLAG_ZERO = "zero"
 
 
-class SubspaceVerificationError(errors.Error):
+class SubspaceVerificationError(errors.WitnessError):
     """Raised when a subspace witness fails verification."""
 
     def __init__(self, reason: str, subspace=None, vector=None, row=None, detail: str = ""):
@@ -122,7 +122,7 @@ class SubspaceWitness(errors._Record):
                 raise ValueError(f"unknown subspace witness flag {errors._excerpt(flag)}")
         for group in self.vectors:
             if len(group) != self.n:
-                raise errors.ShapeError(f"each subspace needs {self.n} vectors")
+                raise errors.ShapeError(f"each subspace needs {errors._excerpt(self.n)} vectors")
             for v in group:
                 if len(v) != self.ambient:
                     raise errors.ShapeError("witness vector of the wrong length")
@@ -230,7 +230,7 @@ def _subspaces_from_rows(field: Field, ambient, groups) -> list[Subspace]:
             raise errors.ParseError("each subspace must be a list of spanning rows")
         for row in rows:
             if not isinstance(row, list) or len(row) != ambient:
-                raise errors.ParseError(f"each spanning row must be a list of {ambient} entries")
+                raise errors.ParseError(f"each spanning row must be a list of {errors._excerpt(ambient)} entries")
         out.append(Subspace.from_vectors(field, ambient, [[dec(e) for e in row] for row in rows]))
     return out
 

@@ -16,12 +16,13 @@ import pytest
 
 from conftest import assert_correction_invariants, random_element, random_invertible, random_matrix, recorded_corrections
 from glndep.certificate import verify_witness
-from glndep.fields import ExtensionField, PrimeField, RationalField, field_from_order
+from glndep.fields import ExtensionField, PrimeField, field_from_order
 from glndep.finite_solver import solve_finite
 from glndep.fullrank import build_fullrank_basis, check_fullrank_basis
-from glndep.matrix import Matrix, det, find_gl_transform, rref
+from glndep.matrix import Matrix, det, rref
 from glndep.oracle import brute_force_witness, enumerate_gl, exhaustive_theorem_check
-from glndep.rational_solver import solve_rational
+from glndep.rational_solver import find_gl_transform, solve_rational
+from glndep.rationals import RationalField
 from glndep.subspaces import (
     FLAG_FULL,
     FLAG_ZERO,

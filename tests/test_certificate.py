@@ -19,10 +19,11 @@ from glndep.certificate import (
     witness_from_json,
     witness_to_json,
 )
-from glndep.fields import ExtensionField, PrimeField, RationalField
-from glndep.matrix import Matrix, find_gl_transform
+from glndep.fields import ExtensionField, PrimeField
+from glndep.matrix import Matrix
 from glndep.finite_solver import solve_finite
-from glndep.rational_solver import solve_unsafe_finite
+from glndep.rational_solver import find_gl_transform, solve_unsafe_finite
+from glndep.rationals import RationalField
 
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)
@@ -90,6 +91,15 @@ def test_verify_rejects_count_and_field_mismatches():
     with pytest.raises(VerificationError) as exc:
         verify_witness([Matrix.identity(GF2, 2), Matrix.identity(GF2, 2)], witness)
     assert exc.value.reason == "field-mismatch"
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (2, 3)], ids=["rows", "cols"])
+def test_verify_rejects_a_matrix_of_another_shape(shape):
+    # Without this refusal the weighted sum would raise a bare ShapeError.
+    witness = Witness((Matrix.identity(GF3, 2), -Matrix.identity(GF3, 2)))
+    with pytest.raises(VerificationError) as exc:
+        verify_witness([Matrix.identity(GF3, 2), Matrix.zero(GF3, *shape)], witness)
+    assert exc.value.reason == "shape-mismatch"
 
 
 def test_permutation_equivariance():

@@ -13,9 +13,10 @@ import pytest
 import glndep
 from glndep.certificate import instance_to_json, witness_from_json
 from glndep.cli import main
-from glndep.fields import ExtensionField, PrimeField, RationalField
+from glndep.fields import ExtensionField, PrimeField
 from glndep.fullrank import build_fullrank_basis, fullrank_to_json
 from glndep.matrix import Matrix
+from glndep.rationals import RationalField
 
 GF2 = PrimeField(2)
 QQ = RationalField()
@@ -374,7 +375,7 @@ def test_cli_import_adds_no_heavy_modules():
 
     added = loaded("import glndep.cli") - loaded("pass")
     assert "glndep.cli" in added
-    assert not added & {"dataclasses", "inspect", "typing", "random"}
+    assert not added & {"dataclasses", "inspect", "typing", "random", "fractions", "decimal"}
 
 
 def test_console_entry_point():
@@ -609,8 +610,9 @@ _DIGITS_1500, _DIGITS_4000 = "1" * 1500, "7" * 4000
         ["solve", "--field", "rational", "--random", "1", "1", _DIGITS_4000],
         ["make-h", "--field", "prime:2", "--n", "-" + _DIGITS_1500],
         ["solve", "--field", "prime:3", "--random", _DIGITS_1500, "0", "3"],
+        ["check-theorem", "--q", "2", "--n", "1", "--m", "1", "--cap", "-" + _DIGITS_1500],
     ],
-    ids=["make-h-n", "sweep-n", "sweep-q", "random-k", "make-h-negative-n", "random-zero-m"],
+    ids=["make-h-n", "sweep-n", "sweep-q", "random-k", "make-h-negative-n", "random-zero-m", "sweep-cap"],
 )
 def test_refusals_of_huge_flag_values_are_short(argv):
     # Each refusal used to echo the value whole (1.5 to 4 KB), or to format
@@ -626,22 +628,41 @@ _LOADED = (
     "import sys, types\n"
     "from glndep.cli import main\n"
     "code = main(sys.argv[1:])\n"
-    "print(*[n for n, m in sys.modules.items() if n.startswith('glndep.') and type(m) is types.ModuleType])\n"
+    "print(*[n for n, m in sys.modules.items() if type(m) is types.ModuleType])\n"
     "sys.exit(code)\n"
 )
+
+
+def _loaded_by(*argv, code=0):
+    """The modules a fresh CLI process has loaded when it ends, given argv.
+
+    A submodule registered lazily is a types.ModuleType subclass until its
+    first attribute access loads it; type() reads no attribute.
+    """
+    proc = _python("-c", _LOADED, *argv)
+    assert proc.returncode == code, proc.stderr[-300:]
+    return set(proc.stdout.decode().splitlines()[-1].split())
+
+
+def _submodules(*names):
+    return {f"glndep.{name}" for name in names}
+
+
+# What only QQ needs: a finite-field command loads none of it.
+_QQ = {"glndep.rationals", "fractions", "decimal"}
 
 
 @pytest.mark.parametrize(
     "command, unloaded",
     [
-        ("verify", {"fullrank", "finite_solver", "rational_solver", "subspaces", "oracle"}),
-        ("solve-rational", {"fullrank", "finite_solver", "oracle", "subspaces"}),
-        ("make-h", {"certificate", "finite_solver", "rational_solver", "subspaces", "oracle"}),
+        ("verify", _submodules("fullrank", "finite_solver", "rational_solver", "subspaces", "oracle") | _QQ),
+        ("solve-rational", _submodules("fullrank", "finite_solver", "oracle", "subspaces")),
+        ("make-h", _submodules("certificate", "finite_solver", "rational_solver", "subspaces", "oracle") | _QQ),
+        ("oracle", _submodules("finite_solver", "fullrank", "rational_solver", "subspaces") | _QQ),
+        ("solve-ext", _submodules("rational_solver", "subspaces", "oracle") | _QQ),
     ],
 )
 def test_a_command_loads_only_the_modules_it_runs(tmp_path, command, unloaded):
-    # A submodule registered lazily is a types.ModuleType subclass until its
-    # first attribute access loads it; type() reads no attribute.
     inst, wit = tmp_path / "inst.json", tmp_path / "w.json"
     write_instance(inst, GF2, unit_pair(GF2))
     assert main(["solve", "--field", "prime:2", "--input", str(inst), "--output", str(wit)]) == 0
@@ -649,12 +670,50 @@ def test_a_command_loads_only_the_modules_it_runs(tmp_path, command, unloaded):
         "verify": ["verify", "--instance", str(inst), "--witness", str(wit)],
         "solve-rational": ["solve", "--field", "rational", "--random", "2", "2", "3", "--output", str(wit)],
         "make-h": ["make-h", "--field", "prime:3", "--n", "2", "--output", str(tmp_path / "h.json")],
+        "oracle": ["oracle", "--input", str(inst), "--output", str(tmp_path / "o.json")],
+        "solve-ext": ["solve", "--field", "ext:2:3", "--random", "2", "2", "3", "--output", str(wit)],
     }[command]
-    proc = _python("-c", _LOADED, *argv)
-    assert proc.returncode == 0, proc.stderr[-300:]
-    loaded = set(proc.stdout.decode().splitlines()[-1].split())
+    loaded = _loaded_by(*argv)
     assert "glndep.matrix" in loaded
-    assert loaded & {f"glndep.{name}" for name in unloaded} == set()
+    assert loaded & unloaded == set()
+    if command == "solve-rational":
+        # Reached through the lazily registered module, in a fresh process.
+        assert _QQ <= loaded
+        assert witness_from_json(json.loads(wit.read_text())).field == QQ
+
+
+@pytest.mark.parametrize(
+    "argv", [["make-h", "--field", "prime:2", "--n", "1000"], ["solve", "--field", "prime:2"]], ids=["cap", "argparse"]
+)
+def test_a_usage_error_loads_no_module_but_errors_and_cli(argv):
+    # cli catches both verifiers' errors through their base in errors, so a
+    # refusal before any work loads neither verifier nor what they import.
+    loaded = _loaded_by(*argv, code=2)
+    assert {name for name in loaded if name.startswith("glndep.")} == {"glndep.errors", "glndep.cli"}
+
+
+_HUGE = 10 ** 1499
+
+
+@pytest.mark.parametrize("case", ["rows", "cols", "ambient", "oracle-cap"])
+def test_huge_sizes_in_input_files_are_quoted_briefly(tmp_path, case):
+    # Each message used to print the whole 1,500-digit value: 1,551 bytes of
+    # stderr for "cols", which a Hypothesis seed of test_cli_fuzz drew.
+    path = tmp_path / "input.json"
+    instance = instance_to_json(PrimeField(3), unit_pair(PrimeField(3)))
+    if case in ("rows", "cols"):
+        instance["matrices"][1][case] = _HUGE
+        argv, code = ["solve", "--field", "prime:3", "--input", str(path)], 3
+    elif case == "ambient":
+        instance = {"field": {"kind": "prime", "p": 3}, "ambient": _HUGE, "subspaces": [[["1", "0"]]]}
+        argv, code = ["subspace-solve", "--input", str(path), "--n", "1"], 3
+    else:
+        argv, code = ["oracle", "--input", str(path), "--cap", str(-_HUGE)], 2
+    path.write_text(json.dumps(instance))
+    proc = _python("-m", "glndep.cli", *argv)
+    assert proc.returncode == code, proc.stderr[-300:]
+    assert proc.stderr.startswith(b"input error: " if code == 3 else b"error: ")
+    assert len(proc.stderr) < 1024
 
 
 def test_help_under_warnings_as_errors_is_clean():

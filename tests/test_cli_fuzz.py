@@ -21,10 +21,11 @@ from hypothesis import strategies as st
 
 from glndep.certificate import instance_to_json, witness_to_json
 from glndep.cli import main
-from glndep.fields import ExtensionField, PrimeField, RationalField
+from glndep.fields import ExtensionField, PrimeField
 from glndep.finite_solver import solve_finite
 from glndep.matrix import Matrix
 from glndep.rational_solver import solve_rational
+from glndep.rationals import RationalField
 
 SECONDS_PER_EXAMPLE = 5.0
 # A node replaced by this string is written as a nesting of [ ... ] deeper

@@ -1,10 +1,12 @@
 """Field arithmetic: construction, canonical forms, axioms, and JSON encoding."""
 
+import ast
 import math
 import random
 import time
 from fractions import Fraction
 from itertools import islice
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,6 @@ from glndep.fields import (
     _poly_mod,
     ExtensionField,
     PrimeField,
-    RationalField,
     field_from_json,
     field_from_order,
     field_to_json,
@@ -25,6 +26,7 @@ from glndep.fields import (
     parse_field,
 )
 from glndep.matrix import Matrix
+from glndep.rationals import RationalField
 
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)
@@ -567,6 +569,16 @@ def test_tables_stop_at_256_elements():
 
 
 # selectors and JSON
+
+def test_fields_imports_rationals_only_inside_functions():
+    # rationals imports Field from fields at its top, so an import of
+    # rationals at the top of fields would be a cycle, which works only while
+    # the package registers both modules lazily.
+    tree = ast.parse(Path(fields.__file__).read_text())
+    top = [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert top and not any("rationals" in ast.dump(node) for node in top)
+    assert parse_field("rational") == field_from_json(field_to_json(QQ)) == QQ
+
 
 def test_parse_field_selectors():
     assert parse_field("prime:7") == GF7

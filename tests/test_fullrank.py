@@ -9,7 +9,7 @@ import pytest
 
 from conftest import scaled
 from glndep import errors
-from glndep.fields import ExtensionField, PrimeField, RationalField, parse_field
+from glndep.fields import ExtensionField, PrimeField, parse_field
 from glndep.fullrank import (
     FullRankBasis,
     build_fullrank_basis,
@@ -18,6 +18,7 @@ from glndep.fullrank import (
     fullrank_to_json,
 )
 from glndep.matrix import Matrix, det, span_solve
+from glndep.rationals import RationalField
 
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)
@@ -177,6 +178,15 @@ def test_fullrank_json_rejects_bad_n_or_modulus(changes):
     obj.update(changes)
     with pytest.raises(errors.ParseError):
         fullrank_from_json(obj)
+
+
+def test_fullrank_json_quotes_a_huge_n_briefly():
+    # The refusal used to print n + 1 whole: 1,500 digits.
+    obj = fullrank_to_json(build_fullrank_basis(GF2, 2))
+    obj["n"] = 10 ** 1499
+    with pytest.raises(errors.ParseError) as info:
+        fullrank_from_json(obj)
+    assert len(str(info.value)) < 1024
 
 
 def test_fullrank_json_rejects_missing_key():

@@ -11,17 +11,18 @@ from hypothesis import strategies as st
 
 from conftest import random_invertible, random_matrix, scaled
 from glndep import errors, matrix as matrix_module
-from glndep.fields import ExtensionField, PrimeField, RationalField
+from glndep.fields import ExtensionField, PrimeField
 from glndep.matrix import (
     Matrix,
     det,
-    find_gl_transform,
     kernel_basis,
     matrix_from_json,
     matrix_to_json,
     rref,
     span_solve,
 )
+from glndep.rational_solver import find_gl_transform
+from glndep.rationals import RationalField
 from glndep.subspaces import Subspace
 
 GF2 = PrimeField(2)

@@ -8,7 +8,7 @@ import pytest
 
 from glndep import errors
 from glndep.certificate import Witness, verify_witness
-from glndep.fields import ExtensionField, PrimeField, RationalField
+from glndep.fields import ExtensionField, PrimeField
 from glndep.matrix import Matrix, det
 from glndep.oracle import (
     _gl_matrices,
@@ -17,6 +17,7 @@ from glndep.oracle import (
     exhaustive_theorem_check,
     report_to_json,
 )
+from glndep.rationals import RationalField
 
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)

@@ -17,6 +17,7 @@ from glndep.fullrank import _block_columns, build_fullrank_basis
 from glndep.matrix import Matrix, kernel_basis, span_solve
 from glndep.oracle import brute_force_witness
 from glndep.finite_solver import solve_finite
+from glndep.rationals import RationalField
 
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)
@@ -98,8 +99,6 @@ def test_too_few_matrices():
 
 
 def test_rejects_infinite_field():
-    from glndep.fields import RationalField
-
     qq = RationalField()
     with pytest.raises(errors.InfiniteFieldError):
         solve_finite([Matrix.identity(qq, 2), Matrix.identity(qq, 2), Matrix.identity(qq, 2)])

@@ -23,7 +23,7 @@ from conftest import (
 )
 from glndep import errors, rational_solver
 from glndep.certificate import TAG_INVERTIBLE, TAG_ZERO, Witness, verify_witness, witness_to_json
-from glndep.fields import ExtensionField, PrimeField, RationalField
+from glndep.fields import ExtensionField, PrimeField
 from glndep.matrix import Matrix, det, kernel_basis
 from glndep.rational_solver import (
     choose_correction_scalar,
@@ -35,6 +35,7 @@ from glndep.rational_solver import (
     solve_rational,
     solve_unsafe_finite,
 )
+from glndep.rationals import RationalField
 
 QQ = RationalField()
 
@@ -441,7 +442,7 @@ def test_postcondition_checks_survive_optimize_flag():
     script = "\n".join([
         "import glndep.rational_solver as rs",
         "from glndep.errors import PostconditionError",
-        "from glndep.fields import RationalField",
+        "from glndep.rationals import RationalField",
         "from glndep.matrix import Matrix",
         "QQ = RationalField()",
         "weighted_sum = rs._weighted_sum",
@@ -480,6 +481,8 @@ RATIONAL_SOLVER_CHECKS = [
     "span of the other rows has dimension {}, expected <= {}",
     "the lifted multipliers do not sum to zero",
     "correcting index {} left it singular or lost an invertible multiplier",
+    "the coordinate columns are dependent",
+    "the transform is singular or misses m2",
 ]
 
 

@@ -9,8 +9,10 @@ import pytest
 
 from conftest import random_invertible, random_matrix
 from glndep import errors, subspaces
-from glndep.fields import ExtensionField, PrimeField, RationalField
-from glndep.matrix import Matrix, det, find_gl_transform, rref
+from glndep.fields import ExtensionField, PrimeField
+from glndep.matrix import Matrix, det, rref
+from glndep.rational_solver import find_gl_transform
+from glndep.rationals import RationalField
 from glndep.subspaces import (
     FLAG_FULL,
     FLAG_ZERO,
@@ -355,6 +357,26 @@ def test_witness_refuses_a_shape_below_one(ambient, n):
         SubspaceWitness(QQ, ambient, n, (group, group), (FLAG_FULL, FLAG_FULL))
 
 
+@pytest.mark.parametrize(
+    "spaces, reason",
+    [
+        # Without the count check zip drops the second group from the
+        # membership and span checks, and one line would pass as GL(1)-dependent.
+        ([line(GF3, (1, 0))], "shape-mismatch"),
+        ([line(PrimeField(5), (1, 0))] * 2, "field-mismatch"),
+        ([line(GF3, (1, 0, 0))] * 2, "shape-mismatch"),
+    ],
+    ids=["group-count", "field", "ambient"],
+)
+def test_verify_refuses_a_family_the_witness_does_not_fit(spaces, reason):
+    # The groups (1, 0) and (2, 0) with n = 1 are a witness for two equal lines over GF(3).
+    witness = SubspaceWitness(GF3, 2, 1, (((1, 0),), ((2, 0),)), (FLAG_FULL, FLAG_FULL))
+    verify_subspace_witness([line(GF3, (1, 0))] * 2, witness)
+    with pytest.raises(SubspaceVerificationError) as exc:
+        verify_subspace_witness(spaces, witness)
+    assert exc.value.reason == reason
+
+
 def test_verify_rejects_all_zero_flags():
     spaces, witness = _plane_pair_witness()
     zeros = tuple(
@@ -529,6 +551,16 @@ def test_subspace_witness_json_rejects_missing_key():
     del obj["flags"]
     with pytest.raises(errors.ParseError):
         subspace_witness_from_json(obj)
+
+
+def test_subspace_witness_json_quotes_a_huge_n_briefly():
+    # The refusal used to print n whole: 1,500 digits.
+    lines = [line(QQ, v) for v in [(1, 0), (0, 1), (1, 1)]]
+    obj = subspace_witness_to_json(solve_subspace_dependence(lines, 1))
+    obj["n"] = 10 ** 1499
+    with pytest.raises(errors.ParseError) as info:
+        subspace_witness_from_json(obj)
+    assert len(str(info.value)) < 1024
 
 
 @pytest.mark.parametrize("key", ["n", "ambient"])
