@@ -61,6 +61,37 @@ class PostconditionError(Error):
 DEFAULT_CAP = 10 ** 7
 
 
+def _check_sweep_size(q: int, n: int, m: int, cap: int) -> None:
+    """Refuse a sweep of shape n x m over GF(q) with more than cap instances.
+
+    Raises ValueError unless q >= 2 and n, m >= 1 are ints, and TooLargeError
+    when q^(n*m*(m+1)) > cap, in time bounded by the size of cap whatever n
+    and m are (see _power_exceeds); no field is built.
+    """
+    for name, value, least in (("q", q, 2), ("n", n, 1), ("m", m, 1)):
+        if type(value) is not int or value < least:
+            raise ValueError(f"{name} must be an int >= {least}, got {_excerpt(value)}")
+    exponent = n * m * (m + 1)
+    if _power_exceeds(q, exponent, cap):
+        power = f"{_excerpt(q)}^{_excerpt(exponent)}"
+        raise TooLargeError(f"{power} instances exceed the cap of {_excerpt(cap)}")
+
+
+def _power_exceeds(base: int, exponent: int, cap: int) -> bool:
+    """base^exponent > cap, for an int base >= 2 and an int exponent.
+
+    Multiplies up one factor at a time and stops at the first partial power
+    past cap, so the time and the size of the numbers made are bounded by the
+    sizes of base and cap, not by the exponent.
+    """
+    total = 1
+    for _ in range(exponent):
+        total *= base
+        if total > cap:
+            return True
+    return total > cap
+
+
 def check(ok: bool, what: str) -> None:
     """Raise PostconditionError unless ok; unlike assert, this also runs under python -O."""
     if not ok:

@@ -34,7 +34,7 @@ def enumerate_gl(field: Field, n: int, cap: int = errors.DEFAULT_CAP) -> tuple[M
     if not field.is_finite:
         raise errors.InfiniteFieldError("GL enumeration needs a finite field")
     q = field.cardinality
-    if _power_exceeds(q, n * n, cap):
+    if errors._power_exceeds(q, n * n, cap):
         raise errors.TooLargeError(f"{q}^{n * n} candidate matrices exceed the cap of {errors._excerpt(cap)}")
     return _gl_matrices(field, n)
 
@@ -51,7 +51,7 @@ def _pool(field: Field, n: int, k: int, cap: int) -> tuple[Matrix, ...]:
         size *= q ** n - q ** t
         if size > cap:  # then so is every power of the pool size
             break
-    if _power_exceeds(size + 1, k, cap):
+    if errors._power_exceeds(size + 1, k, cap):
         raise errors.TooLargeError(f"(1 + |GL({n}, {q})|)^{k} candidate tuples exceed the cap of {errors._excerpt(cap)}")
     return (Matrix.zero(field, n, n),) + enumerate_gl(field, n, cap)
 
@@ -126,7 +126,7 @@ def exhaustive_theorem_check(field: Field, n: int, m: int, cap: int = errors.DEF
     """
     if not field.is_finite:
         raise errors.InfiniteFieldError("the exhaustive sweep needs a finite field")
-    _check_sweep_size(field.cardinality, n, m, cap)
+    errors._check_sweep_size(field.cardinality, n, m, cap)
     pool = _pool(field, n, m + 1, cap)  # a search over the cap raises here, before any instance
     elements = tuple(field.elements())
     shapes = [
@@ -151,37 +151,6 @@ def exhaustive_theorem_check(field: Field, n: int, m: int, cap: int = errors.DEF
             agrees = False
             failures.append({"instance": instances - 1, "kind": f"solver: {exc}"})
     return TheoremReport(field, n, m, instances, all_have, agrees, tuple(failures))
-
-
-def _check_sweep_size(q: int, n: int, m: int, cap: int) -> None:
-    """Refuse a sweep of shape n x m over GF(q) with more than cap instances.
-
-    Raises ValueError unless q >= 2 and n, m >= 1 are ints, and TooLargeError
-    when q^(n*m*(m+1)) > cap, in time bounded by the size of cap whatever n
-    and m are (see _power_exceeds); no field is built.
-    """
-    for name, value, least in (("q", q, 2), ("n", n, 1), ("m", m, 1)):
-        if type(value) is not int or value < least:
-            raise ValueError(f"{name} must be an int >= {least}, got {errors._excerpt(value)}")
-    exponent = n * m * (m + 1)
-    if _power_exceeds(q, exponent, cap):
-        power = f"{errors._excerpt(q)}^{errors._excerpt(exponent)}"
-        raise errors.TooLargeError(f"{power} instances exceed the cap of {errors._excerpt(cap)}")
-
-
-def _power_exceeds(base: int, exponent: int, cap: int) -> bool:
-    """base^exponent > cap, for an int base >= 2 and an int exponent.
-
-    Multiplies up one factor at a time and stops at the first partial power
-    past cap, so the time and the size of the numbers made are bounded by the
-    sizes of base and cap, not by the exponent.
-    """
-    total = 1
-    for _ in range(exponent):
-        total *= base
-        if total > cap:
-            return True
-    return total > cap
 
 
 def report_to_json(report: TheoremReport) -> dict:

@@ -41,9 +41,7 @@ run under python -O.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from . import errors
+from . import errors, rationals
 from .certificate import Witness, _check_instance
 from .fields import Field
 from .matrix import (
@@ -58,13 +56,12 @@ from .matrix import (
     rref,
     span_solve,
 )
-from .rationals import RationalField, _integer_row_pairs, _rational_gauss_jordan
 
 
 def solve_rational(matrices) -> Witness:
     """Witness for k >= m+1 rational n x m matrices."""
     matrices = list(matrices)
-    if matrices and not isinstance(matrices[0].field, RationalField):
+    if matrices and not isinstance(matrices[0].field, rationals.RationalField):
         raise ValueError("solve_rational expects rational matrices; see solve_finite / solve_unsafe_finite")
     _check_instance(matrices)
     return Witness(tuple(_solve_entry(matrices)))
@@ -309,13 +306,15 @@ def choose_correction_scalar(field: Field, conditions):
             if x != zero and all(det(_add_scaled(base, x, direction)) != zero for base, direction in conditions):
                 return x
     else:
-        pencils = [[(s, t) for s, t, _ in _integer_row_pairs(base, direction)] for base, direction in conditions]
+        # Over QQ only, so a finite-field process never loads rationals.
+        pairs, eliminate = rationals._integer_row_pairs, rationals._rational_gauss_jordan
+        pencils = [[(s, t) for s, t, _ in pairs(base, direction)] for base, direction in conditions]
         for v in range(1, n * len(conditions) + 2):
             if all(
-                len(_rational_gauss_jordan([[a + v * b for a, b in zip(s, t)] for s, t in rows], n, False)[1]) == n
+                len(eliminate([[a + v * b for a, b in zip(s, t)] for s, t in rows], n, False)[1]) == n
                 for rows in pencils
             ):
-                return Fraction(v)
+                return rationals.Fraction(v)
     raise errors.ExhaustedBoundError(
         f"no valid scalar among the candidates for {len(conditions)} conditions of degree <= {n}"
     )

@@ -1,5 +1,6 @@
 """Command-line behavior: pipelines, exit codes, deterministic output files."""
 
+import gc
 import json
 import os
 import resource
@@ -660,6 +661,7 @@ _QQ = {"glndep.rationals", "fractions", "decimal"}
         ("make-h", _submodules("certificate", "finite_solver", "rational_solver", "subspaces", "oracle") | _QQ),
         ("oracle", _submodules("finite_solver", "fullrank", "rational_solver", "subspaces") | _QQ),
         ("solve-ext", _submodules("rational_solver", "subspaces", "oracle") | _QQ),
+        ("solve-unsafe", _submodules("fullrank", "finite_solver", "subspaces", "oracle") | _QQ),
     ],
 )
 def test_a_command_loads_only_the_modules_it_runs(tmp_path, command, unloaded):
@@ -672,6 +674,9 @@ def test_a_command_loads_only_the_modules_it_runs(tmp_path, command, unloaded):
         "make-h": ["make-h", "--field", "prime:3", "--n", "2", "--output", str(tmp_path / "h.json")],
         "oracle": ["oracle", "--input", str(inst), "--output", str(tmp_path / "o.json")],
         "solve-ext": ["solve", "--field", "ext:2:3", "--random", "2", "2", "3", "--output", str(wit)],
+        "solve-unsafe": [
+            "solve", "--field", "prime:31", "--random", "2", "2", "3", "--unsafe-finite", "--output", str(wit)
+        ],
     }[command]
     loaded = _loaded_by(*argv)
     assert "glndep.matrix" in loaded
@@ -683,11 +688,18 @@ def test_a_command_loads_only_the_modules_it_runs(tmp_path, command, unloaded):
 
 
 @pytest.mark.parametrize(
-    "argv", [["make-h", "--field", "prime:2", "--n", "1000"], ["solve", "--field", "prime:2"]], ids=["cap", "argparse"]
+    "argv",
+    [
+        ["make-h", "--field", "prime:2", "--n", "1000"],
+        ["solve", "--field", "prime:2"],
+        ["check-theorem", "--q", "3", "--n", _DIGITS_1500, "--m", "1"],
+    ],
+    ids=["cap", "argparse", "sweep-size"],
 )
 def test_a_usage_error_loads_no_module_but_errors_and_cli(argv):
-    # cli catches both verifiers' errors through their base in errors, so a
-    # refusal before any work loads neither verifier nor what they import.
+    # cli catches both verifiers' errors through their base in errors, and the
+    # sweep-size check lives there too, so a refusal before any work loads
+    # neither verifier nor what they import.
     loaded = _loaded_by(*argv, code=2)
     assert {name for name in loaded if name.startswith("glndep.")} == {"glndep.errors", "glndep.cli"}
 
@@ -722,3 +734,64 @@ def test_help_under_warnings_as_errors_is_clean():
     assert proc.returncode == 0
     assert proc.stderr == b""
     assert b"check-theorem" in proc.stdout
+
+
+@pytest.mark.parametrize("code", [0, 1, 2, 3])
+def test_a_cli_process_ends_as_main_returns(tmp_path, capsys, code):
+    # The process entry freezes the collector before it exits: the exit code,
+    # both streams and the output file must be what main() gives in process.
+    inst, wit, out = tmp_path / "inst.json", tmp_path / "w.json", tmp_path / "out.json"
+    write_instance(inst, GF2, unit_pair(GF2))
+    assert main(["solve", "--field", "prime:2", "--input", str(inst), "--output", str(wit)]) == 0
+    if code == 1:
+        wit.write_text(json.dumps(dict(json.loads(wit.read_text()), entries=[{"tag": "zero"}] * 2)))
+    if code == 3:
+        inst.write_text("{not json")
+    argv = {
+        0: ["solve", "--field", "prime:3", "--random", "3", "2", "3", "--seed", "5", "--output", str(out)],
+        1: ["verify", "--instance", str(inst), "--witness", str(wit)],
+        2: ["make-h", "--field", "prime:2", "--n", "1000", "--output", str(out)],
+        3: ["verify", "--instance", str(inst), "--witness", str(wit)],
+    }[code]
+    capsys.readouterr()
+    assert main(argv) == code
+    streams = capsys.readouterr()
+    written = out.read_bytes() if out.exists() else None
+    out.unlink(missing_ok=True)
+    proc = _python("-m", "glndep.cli", *argv)
+    assert proc.returncode == code
+    assert proc.stdout.decode() == streams.out
+    assert proc.stderr.decode() == streams.err
+    assert (out.read_bytes() if out.exists() else None) == written
+    assert (written is not None) == (code == 0)
+
+
+def test_main_never_freezes_the_collector(tmp_path):
+    # Tests and the perfbench launcher call main() in one long process, which
+    # must keep normal collection.
+    before = gc.get_freeze_count()
+    for seed in range(3):
+        assert main(["solve", "--field", "prime:2", "--random", "2", "1", "2", "--seed", str(seed)]) == 0
+    assert main(["make-h", "--field", "prime:2", "--n", "1000"]) == 2
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["check-theorem", "--q", "2", "--n", "1", "--m", "1"], 0), (["make-h", "--field", "prime:2", "--n", "1000"], 2)],
+    ids=["check-theorem", "usage"],
+)
+def test_run_exits_with_mains_code_after_freezing(argv, code):
+    # The console script calls run(); an atexit hook in the child sees that
+    # the collector was frozen before the exit.
+    script = (
+        "import atexit, gc\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+        "from glndep.cli import run\n"
+        "run()\n"
+    )
+    proc = _python("-c", script, *argv)
+    assert proc.returncode == code, proc.stderr[-300:]
+    assert proc.stdout.decode().splitlines()[-1] == "frozen True"
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert 'glndep = "glndep.cli:run"' in pyproject.read_text()
