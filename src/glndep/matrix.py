@@ -210,8 +210,10 @@ def _gauss_jordan(field: Field, rows, limit: int, reduce: bool = True):
     free column was zero from the pivot row down when it was passed, and has
     only had multiples of such rows added since.  So the pivot row is scaled,
     and the other rows are updated in place, only from the pivot column on.
-    The skipped entries would have been e + c*0 == e, so the rows, pivots and
-    factor are the values the full-row update gives.
+    Within that range an entry under a zero of the pivot row is left as it
+    is, so each updated row costs one mul and one add per nonzero pivot-row
+    entry.  The skipped entries would have been e + c*0 == e, so the rows,
+    pivots and factor are the values the full-row update gives.
     """
     if field.cardinality is None:
         return field.gauss_jordan(rows, limit, reduce)
@@ -243,7 +245,7 @@ def _gauss_jordan(field: Field, rows, limit: int, reduce: bool = True):
             c = row[col]
             if r != pr and c != z:
                 c = neg(c)
-                row[col:] = [add(e, mul(c, s)) for e, s in zip(row[col:], tail)]
+                row[col:] = [add(e, mul(c, s)) if s != z else e for e, s in zip(row[col:], tail)]
         pivot_cols.append(col)
     return work, tuple(pivot_cols), factor
 

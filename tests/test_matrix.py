@@ -574,6 +574,69 @@ def test_gf65536_elimination_matches_full_row_reference(rows, limit):
     _assert_matches_full_row_reference(field, rows, limit)
 
 
+class _CountingField:
+    """A finite field that counts its add and mul calls; everything else is the wrapped field's."""
+
+    def __init__(self, field):
+        self._field = field
+        self.adds = self.muls = 0
+
+    def __getattr__(self, name):
+        return getattr(self._field, name)
+
+    def add(self, a, b):
+        self.adds += 1
+        return self._field.add(a, b)
+
+    def mul(self, a, b):
+        self.muls += 1
+        return self._field.mul(a, b)
+
+
+def _sparse_pivot_system(rng, field, n, r):
+    """(rows, updates): an n x n system whose pivot rows are mostly zero, and
+    the number of entries its row updates must compute.
+
+    A zero row, then r rows [e_i | A_i] with A_i three-quarters zero, then
+    n - r - 1 rows that combine them.  The zero row is swapped down at every
+    pivot; the pivot rows are the [e_i | A_i], pivot 1, never updated
+    themselves (column i is zero in every other one), so no pivot is scaled.
+    A combination with a nonzero weight on row i is updated once, by pivot i,
+    and that update has 1 + nnz(A_i) nonzero pivot-row entries."""
+    z = field.zero
+
+    def element(nonzero_share):
+        if rng.random() >= nonzero_share:
+            return z
+        return field.element_from_index(rng.randrange(1, field.cardinality))
+
+    pivots = [
+        tuple(field.one if j == i else z for j in range(r)) + tuple(element(0.25) for _ in range(n - r))
+        for i in range(r)
+    ]
+    combinations, updates = [], 0
+    for _ in range(n - r - 1):
+        row = (z,) * n
+        for pivot_row in pivots:
+            w = element(0.5)
+            if w != z:
+                row = tuple(field.add(e, field.mul(w, s)) for e, s in zip(row, pivot_row))
+                updates += sum(s != z for s in pivot_row)
+        combinations.append(row)
+    return ((z,) * n, *pivots, *combinations), updates
+
+
+@pytest.mark.parametrize("field", [GF2, GF31, GF16], ids=repr)
+@pytest.mark.parametrize("seed", range(3))
+def test_finite_row_update_costs_one_mul_and_add_per_nonzero_pivot_row_entry(field, seed):
+    rows, updates = _sparse_pivot_system(random.Random(seed), field, 12, 7)
+    assert updates
+    for run, expected in ((lambda m: rref(m).rank, 7), (det, field.zero)):
+        counting = _CountingField(field)
+        assert run(Matrix.from_rows(counting, rows)) == expected
+        assert (counting.muls, counting.adds) == (updates, updates)
+
+
 @st.composite
 def _qq_products(draw):
     inner = draw(st.integers(1, 7))
