@@ -20,6 +20,10 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
+# The most UTF-8 bytes main prints for one error, newline excluded: an
+# OSError quotes its path whole, and other messages may quote input too.
+_MESSAGE_BYTES = 1000
+
 
 def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
@@ -226,6 +230,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report(prefix: str, exc: Exception) -> None:
+    """Print "prefix: exc" on stderr, cut to _MESSAGE_BYTES UTF-8 bytes."""
+    message = f"{prefix}: {exc}"
+    data = message.encode("utf-8", "backslashreplace")
+    if len(data) > _MESSAGE_BYTES:
+        message = data[: _MESSAGE_BYTES - 3].decode("utf-8", "ignore") + "..."
+    print(message, file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -235,13 +248,13 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (OSError, json.JSONDecodeError, errors.ParseError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
+        _report("input error", exc)
         return EXIT_IO
     except errors.WitnessError as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
+        _report("verification failed", exc)
         return EXIT_VERIFY
     except (errors.Error, ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report("error", exc)
         return EXIT_USAGE
 
 

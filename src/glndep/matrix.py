@@ -11,9 +11,9 @@ that the RationalField a matrix holds carries (see rationals), so this module
 neither imports that one nor compiles them for a finite field.
 
 Matrices combine in two ways only: a + c*b through _add_scaled (the
-exhaustive sums of fullrank.check_fullrank_basis, correction steps, scalar
-scans) and sum(g_i * M_i) through _weighted_sum (solver post-conditions and
-the verifier).
+exhaustive sums of fullrank.check_fullrank_basis and the candidate
+multipliers of a correction step) and sum(g_i * M_i) through _weighted_sum
+(solver post-conditions and the verifier).
 
 The paths that run once per solve build their tuples from lists,
 tuple([...]), not from generators or map.  CPython allocates a tuple built

@@ -17,11 +17,12 @@ beyond the first m+1 receive the zero multiplier):
   g_j gains x*I and every other g_i pays x times the matrix of coefficients
   expressing the rows of M_j over its own rows, which preserves the sum.  Each
   determinant that must stay nonzero is a nonzero polynomial of degree at most
-  n in x, so scanning x = 1, 2, ... finds a good value within
-  n*(number of conditions) + 1 steps, and x is returned as a Fraction.  The
-  row expansions come from the outside-span scan, one matrix.span_solve per
-  matrix; the first invertible set is read off the diagonal multipliers'
-  entries, and each later one from the fresh determinants of the round before.
+  n in x, so the first n*(number of them) + 1 nonzero scalars hold a good x;
+  the step takes the first one, judged by the determinants of the multipliers
+  it would give.  The row expansions come from the outside-span scan, one
+  matrix.span_solve per matrix; the first invertible set is read off the
+  diagonal multipliers' entries, and each later one from the determinants of
+  the step before.
 
 The steps pass plain lists of multiplier matrices.  Only the two public entry
 points check the instance and wrap the multipliers in a Witness, which reads
@@ -32,8 +33,9 @@ All choices (kernel vectors, span expansions, scan order, smallest bad index
 first) are canonical, so witnesses are reproducible byte for byte.
 
 The same recursion runs over a finite field via solve_unsafe_finite, where the
-scalar scan walks the field's nonzero elements instead.  It requires
-|K| > n*(m+2), which keeps that scan from exhausting (see solve_unsafe_finite).
+scalars are the field's nonzero elements in canonical order instead of
+1, 2, ....  It requires |K| > n*(m+2), which gives every scan all of its
+candidates (see solve_unsafe_finite).
 
 Post-conditions are explicit checks raising PostconditionError, so they also
 run under python -O.
@@ -41,9 +43,10 @@ run under python -O.
 
 from __future__ import annotations
 
-from . import errors, rationals
+from itertools import accumulate, islice, repeat
+
+from . import errors
 from .certificate import Witness, _check_instance
-from .fields import Field
 from .matrix import (
     Matrix,
     _add_scaled,
@@ -61,7 +64,7 @@ from .matrix import (
 def solve_rational(matrices) -> Witness:
     """Witness for k >= m+1 rational n x m matrices."""
     matrices = list(matrices)
-    if matrices and not isinstance(matrices[0].field, rationals.RationalField):
+    if matrices and matrices[0].field.is_finite:
         raise ValueError("solve_rational expects rational matrices; see solve_finite / solve_unsafe_finite")
     _check_instance(matrices)
     return Witness(tuple(_solve_entry(matrices)))
@@ -70,10 +73,9 @@ def solve_rational(matrices) -> Witness:
 def solve_unsafe_finite(matrices) -> Witness:
     """Run the recursive algorithm over a finite field with |K| > n*(m+2).
 
-    The guard keeps every correction scalar scan from exhausting.  A correction
-    has at most m+1 conditions, and each is a nonzero polynomial in x of degree
-    at most n: det(g_j + x*I) is monic, and det(g_i - x*A_i) is det(g_i) != 0
-    at x = 0.  So at most n*(m+1) < |K| - 1 nonzero scalars are bad, and
+    The guard keeps every correction scalar scan from exhausting.  A
+    correction keeps at most m+1 determinants nonzero, so it scans at most
+    n*(m+1) + 1 <= |K| - 1 nonzero scalars (see choose_correction_scalar), and
     recursion only lowers m.
     """
     matrices = list(matrices)
@@ -248,73 +250,61 @@ def correct_bad_index(gs, good: frozenset, j: int, alpha_rows) -> tuple[list[Mat
     expansions of M_j over the other matrices' rows (see _expand_rows); every
     row of M_j must have one.  g_j += x*I and g_i -= x * A_i (A_i collecting
     the coefficients on M_i's rows) keep the weighted sum at zero for any x;
-    x is chosen so g_j becomes invertible and no invertible g_i degenerates,
-    which fresh determinants of the new multipliers confirm.  Returns the new
-    multipliers and the set of indices at which they are invertible.
+    choose_correction_scalar picks x so g_j becomes invertible and no
+    invertible g_i degenerates.  Returns the new multipliers and the set of
+    indices at which they are invertible.
     """
     field = gs[0].field
     n = gs[0].rows
-    zero = field.zero
     if j in good:
         raise ValueError(f"index {j} is not singular")
-
-    others = [i for i in range(len(gs)) if i != j]
     if None in alpha_rows:
         raise errors.SpanExpansionError(
             f"row {alpha_rows.index(None)} of matrix {j} is not in the span of the other matrices' rows"
         )
-    corrections = {}
-    for pos, i in enumerate(others):
-        corrections[i] = _trusted(
-            field, tuple([tuple([alpha_rows[ell][pos * n + t] for t in range(n)]) for ell in range(n)])
-        )
-
-    ident = Matrix.identity(field, n)
-    conditions = [(gs[j], ident)]
-    for i in others:
-        if i in good:
-            conditions.append((gs[i], -corrections[i]))
-    x = choose_correction_scalar(field, conditions)
-
-    new_gs = list(gs)
-    new_gs[j] = _add_scaled(gs[j], x, ident)
-    neg_x = field.neg(x)
-    for i in others:
-        new_gs[i] = _add_scaled(gs[i], neg_x, corrections[i])
-    good_after = frozenset(i for i, g in enumerate(new_gs) if det(g) != zero)
+    others = [i for i in range(len(gs)) if i != j]
+    corrections = {
+        i: _trusted(field, tuple([tuple([alpha_rows[ell][pos * n + t] for t in range(n)]) for ell in range(n)]))
+        for pos, i in enumerate(others)
+    }
+    new_gs, good_after = choose_correction_scalar(gs, good, j, corrections)
     errors.check(good | {j} <= good_after, f"correcting index {j} left it singular or lost an invertible multiplier")
     return new_gs, good_after
 
 
-def choose_correction_scalar(field: Field, conditions):
-    """Smallest usable nonzero scalar x with det(base + x * direction) != 0 for
-    every condition; conditions is not empty.
+def choose_correction_scalar(gs, good: frozenset, j: int, corrections) -> tuple[list[Matrix], frozenset]:
+    """The correction step at the first usable scalar x: the multipliers with
+    g_j + x*I and g_i - x * corrections[i] for every i != j, and the set of
+    indices at which they are invertible.  x is usable when that set holds
+    good and j.
 
-    Over the rationals the scan runs x = 1, 2, ...; each condition is a nonzero
-    polynomial of degree at most n in x, so a valid x exists among the first
-    n * len(conditions) + 1 candidates.  Each row pair of a condition is
-    cleared of denominators once (see rationals._integer_row_pairs), so a
-    candidate v is tested on the integer rows s + v*t, each a positive
-    multiple of the row of base + v * direction, with a fraction-free
-    elimination.  Over a finite field the scan walks the nonzero elements in
-    canonical order and raises ExhaustedBoundError if none works.
+    The candidates are the first n*(len(good) + 1) + 1 nonzero scalars: 1, 2,
+    ... over QQ, the nonzero elements in canonical order over a finite field.
+    That many hold a usable x: det(g_j + x*I) is monic of degree n, and
+    det(g_i - x * corrections[i]) is det(g_i) != 0 at x = 0 for i in good, so
+    each of these len(good) + 1 determinants is a nonzero polynomial of degree
+    at most n in x, with at most n nonzero roots.  Each candidate costs one
+    update and one determinant per multiplier.  Raises ExhaustedBoundError
+    when no candidate is usable, which only a field with fewer nonzero
+    elements than the bound allows.
     """
-    n = conditions[0][0].rows
+    field = gs[0].field
+    n = gs[0].rows
     zero = field.zero
+    ident = Matrix.identity(field, n)
+    bound = n * (len(good) + 1) + 1
     if field.is_finite:
-        for x in field.elements():
-            if x != zero and all(det(_add_scaled(base, x, direction)) != zero for base, direction in conditions):
-                return x
+        candidates = (x for x in field.elements() if x != zero)
     else:
-        # Over QQ only, so a finite-field process never loads rationals.
-        pairs, eliminate = rationals._integer_row_pairs, rationals._rational_gauss_jordan
-        pencils = [[(s, t) for s, t, _ in pairs(base, direction)] for base, direction in conditions]
-        for v in range(1, n * len(conditions) + 2):
-            if all(
-                len(eliminate([[a + v * b for a, b in zip(s, t)] for s, t in rows], n, False)[1]) == n
-                for rows in pencils
-            ):
-                return rationals.Fraction(v)
+        candidates = accumulate(repeat(field.one), field.add)  # 1, 2, 3, ...
+    for x in islice(candidates, bound):
+        neg_x = field.neg(x)
+        new_gs = [
+            _add_scaled(g, x, ident) if i == j else _add_scaled(g, neg_x, corrections[i]) for i, g in enumerate(gs)
+        ]
+        good_after = frozenset(i for i, g in enumerate(new_gs) if det(g) != zero)
+        if good | {j} <= good_after:
+            return new_gs, good_after
     raise errors.ExhaustedBoundError(
-        f"no valid scalar among the candidates for {len(conditions)} conditions of degree <= {n}"
+        f"no valid scalar among the first {bound} nonzero ones for {len(good) + 1} determinants of degree <= {n}"
     )

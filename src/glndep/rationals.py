@@ -10,11 +10,10 @@ each row of denominators, divides exactly by the previous pivot and makes one
 Fraction per entry at the end; every integer row is a nonzero multiple of the
 row that elimination on Fractions would hold.  A product clears the rows of
 its left factor and the columns of its right factor once, and makes one
-Fraction per entry from an integer dot product.  So the results are the same
-values.  The correction step of rational_solver also runs on integer rows:
-its scalar scan eliminates cleared row pairs (see _integer_row_pairs), and
-its multiplier updates a + c*b make one Fraction per entry (see
-_rational_add_scaled).  Other sums stay on Fractions.
+Fraction per entry from an integer dot product, and so does a + c*b, the
+multiplier update of rational_solver's correction step, from each cleared
+row pair.  So the results are the same values.  Other sums stay on
+Fractions.
 """
 
 from __future__ import annotations
@@ -40,24 +39,15 @@ def _integer_row(row) -> tuple[list, int]:
     return [e.numerator * (d // q) for e, q in zip(row, dens)], d
 
 
-def _integer_row_pairs(a, b):
-    """(s, t, d) per row pair of two rational matrices of one shape: integer
-    lists with the row of a == s / d and the row of b == t / d, d being the
-    lcm of the pair's denominators."""
-    w = len(a.entries[0])
-    for ra, rb in zip(a.entries, b.entries):
-        ints, d = _integer_row(ra + rb)
-        yield ints[:w], ints[w:], d
-
-
 def _rational_add_scaled(a, c, b) -> tuple:
     """The entries of a + c * b over QQ: each row pair is cleared of
-    denominators once and each entry is one Fraction (the canonical
-    Fraction(0) when it is zero)."""
-    cn, cd, z = c.numerator, c.denominator, Fraction(0)
+    denominators once, by the lcm d of its denominators, and each entry is one
+    Fraction (the canonical Fraction(0) when it is zero)."""
+    cn, cd, z, w = c.numerator, c.denominator, Fraction(0), len(a.entries[0])
+    rows = [_integer_row(ra + rb) for ra, rb in zip(a.entries, b.entries)]
     return tuple([
-        tuple([Fraction(e, d * cd) if (e := cd * s + cn * t) else z for s, t in zip(srow, trow)])
-        for srow, trow, d in _integer_row_pairs(a, b)
+        tuple([Fraction(e, d * cd) if (e := cd * s + cn * t) else z for s, t in zip(ints[:w], ints[w:])])
+        for ints, d in rows
     ])
 
 
@@ -80,8 +70,7 @@ def _rational_product(aent, bent) -> tuple:
 def _rational_gauss_jordan(rows, limit: int, reduce: bool):
     """matrix._gauss_jordan over QQ, fraction-free with exact division (Bareiss 1968).
 
-    Each row (of Fractions, or of ints, whose denominator is 1) is cleared of
-    denominators once; den is the product of those denominators.  At a pivot
+    Each row is cleared of denominators once; den is the product of those denominators.  At a pivot
     pv every other row becomes (pv*row - c*pivot_row) // prev, prev being the
     previous pivot (1 at first), also when c is zero.  By Sylvester's
     identity every entry is then a minor of the cleared matrix, so each

@@ -4,6 +4,7 @@ import random
 from collections import namedtuple
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -118,9 +119,10 @@ def recorded_corrections():
 
 def assert_correction_invariants(rec: Correction):
     """A correction keeps its level's weighted sum at zero, adds x*I to g_j,
-    strictly grows the invertible set by j, and over QQ takes x within the
-    scan bound n*(number of conditions) + 1, one condition for j and one per
-    invertible g_i."""
+    strictly grows the invertible set by j, and takes x among the first
+    n*(|good| + 1) + 1 nonzero scalars, one determinant of degree <= n for j
+    and one per invertible g_i: 1, 2, ... over QQ, the nonzero elements in
+    canonical order over a finite field."""
     field = rec.matrices[0].field
     n = rec.new_gs[0].rows
     total = Matrix.zero(field, n, rec.matrices[0].cols)
@@ -132,5 +134,9 @@ def assert_correction_invariants(rec: Correction):
     assert rec.new_gs[rec.j] == rec.gs[rec.j] + scaled(Matrix.identity(field, n), x)
     assert rec.good < rec.good_after, "good-index set did not strictly grow"
     assert rec.j in rec.good_after
-    if not field.is_finite:
-        assert x <= n * (len(rec.good) + 1) + 1, "correction scalar exceeded its scan bound"
+    bound = n * (len(rec.good) + 1) + 1
+    if field.is_finite:
+        candidates = list(islice((e for e in field.elements() if e != field.zero), bound))
+    else:
+        candidates = [Fraction(v) for v in range(1, bound + 1)]
+    assert x in candidates, "correction scalar exceeded its scan bound"

@@ -149,6 +149,9 @@ IMPORT_RULES = {
     "certificate.py": lambda mod, name: not any(word in mod for word in ("solve", "oracle", "subspace")),
     # the elimination core sits below every other module of the package
     "matrix.py": lambda mod, name: mod in (".fields", ".errors") or not mod.startswith((".", "glndep")),
+    # the recursive solver reaches QQ's integer kernels only through the
+    # field its matrices hold
+    "rational_solver.py": lambda mod, name: "rationals" not in (mod.split(".")[-1], name),
     # polynomial arithmetic stays inside fields; H acts through fullrank's
     # multiplication by x mod f.  The zero and inv tags are the witness JSON's
     # vocabulary, so only certificate, which defines them, uses them.

@@ -542,6 +542,22 @@ def test_oversized_input_values_are_quoted_briefly(tmp_path, capsys, instance):
     assert len(err.encode()) <= 1024
 
 
+@pytest.mark.parametrize("command", ["verify", "solve"])
+def test_a_long_path_in_an_os_error_is_cut(tmp_path, capsys, command):
+    # The OSError quotes the 3,000-character path whole: over 3,000 bytes on
+    # stderr before main cut what it prints.
+    path = str(tmp_path / "missing" / ("a" * 3000))
+    if command == "verify":
+        argv = ["verify", "--instance", path, "--witness", "x"]
+    else:
+        argv = ["solve", "--field", "prime:3", "--random", "1", "1", "2", "--output", path]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error: [Errno ")
+    assert err.endswith("...\n")
+    assert len(err.encode()) < 1024
+
+
 @pytest.mark.parametrize(
     "argv",
     [["make-h", "--field", "prime:2", "--n", "x" * 100_000], ["x" * 100_000]],

@@ -548,8 +548,8 @@ def _qq_systems(draw):
                (Fraction(6), Fraction(4), Fraction(1))), 3))
 @given(st.one_of(_finite_systems(), _qq_systems()))
 def test_forward_elimination_keeps_the_pivots_and_the_determinant(system):
-    # det, the column completion of find_gl_transform and the QQ pencils of
-    # choose_correction_scalar run the forward pass only.
+    # det, and with it every determinant of the correction step, and the
+    # column completion of find_gl_transform run the forward pass only.
     field, rows, limit = system
     _, pivot_cols, factor = matrix_module._gauss_jordan(field, rows, limit, reduce=False)
     _, full_pivot_cols, full_factor = matrix_module._gauss_jordan(field, rows, limit)

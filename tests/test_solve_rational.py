@@ -292,25 +292,48 @@ def test_correction_raises_when_rows_not_expressible():
 
 # correction-scalar choice
 
+def _diag(*values):
+    return qmat([[v if r == c else 0 for c in range(len(values))] for r, v in enumerate(values)])
+
+
 def test_choose_scalar_single_monic_condition():
     # det(0 + x I) = x^2: the first nonzero candidate works
-    cond = [(Matrix.zero(QQ, 2, 2), Matrix.identity(QQ, 2))]
-    assert choose_correction_scalar(QQ, cond) == Fraction(1)
+    new_gs, good_after = choose_correction_scalar([Matrix.zero(QQ, 2, 2)], frozenset(), 0, {})
+    assert new_gs == [Matrix.identity(QQ, 2)]
+    assert good_after == frozenset({0})
 
 
 def test_choose_scalar_skips_forbidden_values():
     # det(diag(-1,-2) + x I) = (x-1)(x-2) forbids 1 and 2
-    base = qmat([[-1, 0], [0, -2]])
-    cond = [(base, Matrix.identity(QQ, 2))]
-    assert choose_correction_scalar(QQ, cond) == Fraction(3)
+    new_gs, good_after = choose_correction_scalar([_diag(-1, -2)], frozenset(), 0, {})
+    assert new_gs == [_diag(2, 1)]
+    assert good_after == frozenset({0})
 
 
 def test_choose_scalar_respects_scan_bound():
-    base = qmat([[-1, 0], [0, -2]])
-    conds = [(base, Matrix.identity(QQ, 2)), (Matrix.zero(QQ, 2, 2), Matrix.identity(QQ, 2))]
-    x = choose_correction_scalar(QQ, conds)
-    assert x != 0
-    assert x <= 2 * len(conds) + 1
+    # g_0 forbids x = 1, 2 and det(diag(3, 4) - x I) forbids 3, 4: the usable
+    # x is 5, the last of the n*(|good| + 1) + 1 candidates.
+    gs = [_diag(-1, -2), _diag(3, 4), Matrix.zero(QQ, 2, 2)]
+    corrections = {1: Matrix.identity(QQ, 2), 2: Matrix.identity(QQ, 2)}
+    new_gs, good_after = choose_correction_scalar(gs, frozenset({1}), 0, corrections)
+    assert new_gs == [_diag(4, 3), _diag(-2, -1), _diag(-5, -5)]
+    assert good_after == frozenset({0, 1, 2})
+
+
+def test_choose_scalar_stops_at_the_scan_bound():
+    # A claimed invertible g_1 that is singular and stays so: no candidate is
+    # usable, and the scan gives up after n*(|good| + 1) + 1 of them, each
+    # with one determinant per multiplier.
+    zero = Matrix.zero(QQ, 2, 2)
+    calls = []
+
+    def counted_det(matrix):
+        calls.append(matrix)
+        return det(matrix)
+
+    with mock.patch.object(rational_solver, "det", counted_det), pytest.raises(errors.ExhaustedBoundError):
+        choose_correction_scalar([zero, zero], frozenset({1}), 0, {1: zero})
+    assert len(calls) == 2 * (2 * 2 + 1)
 
 
 def _det_scan(conditions):
@@ -324,61 +347,68 @@ def _det_scan(conditions):
     return errors.ExhaustedBoundError
 
 
-def _no_det(matrix):
-    raise AssertionError("the QQ scan called det")
-
-
 _SCAN_ENTRY = st.one_of(st.integers(-3, 3), st.fractions(-20, 20, max_denominator=12)).map(Fraction)
 
 
 @st.composite
-def _conditions(draw):
-    """Condition lists over QQ: random, singular and shifted bases (base =
-    -k * direction, singular at x = k), and diagonal bases -diag(k_1, ...)
-    against the identity, which forbid x = k_i and push the scan past 1."""
+def _correction_steps(draw):
+    """(gs, good, j, corrections) over QQ, good the indices other than j of
+    the invertible multipliers.  Multipliers are random, singular, shifted
+    (-c*I at j, c * corrections[i] elsewhere, singular at x = c) or diagonal
+    (-diag(k_1, ...) at j, diag(k_1, ...) against the identity elsewhere,
+    which forbid x = k_i); the last two push the scan past 1."""
     n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 4))
+    j = draw(st.integers(0, k - 1))
     ident = Matrix.identity(QQ, n)
 
     def square():
         return Matrix(QQ, tuple(tuple(draw(_SCAN_ENTRY) for _ in range(n)) for _ in range(n)))
 
-    out = []
-    for _ in range(draw(st.integers(1, 4))):
+    gs, corrections = [], {}
+    for i in range(k):
         kind = draw(st.sampled_from(("random", "singular", "shifted", "diagonal")))
-        direction = ident if draw(st.booleans()) else square()
+        direction = ident if kind == "diagonal" or i == j or draw(st.booleans()) else square()
+        sign = -1 if i == j else 1
         if kind == "diagonal":
-            ks = [Fraction(-draw(st.integers(1, 4))) for _ in range(n)]
-            base = Matrix(QQ, tuple(tuple(ks[r] if r == c else Fraction(0) for c in range(n)) for r in range(n)))
-            direction = ident
+            g = _diag(*(sign * draw(st.integers(1, 4)) for _ in range(n)))
         elif kind == "shifted":
-            base = scaled(direction, Fraction(-draw(st.integers(1, 3))))
+            g = scaled(direction, Fraction(sign * draw(st.integers(1, 3))))
         else:
-            base = square()
+            g = square()
             if kind == "singular":
-                rows = list(base.entries)
-                k = draw(st.integers(0, 2))
-                rows[draw(st.integers(0, n - 1))] = tuple(k * e for e in rows[draw(st.integers(0, n - 1))])
-                base = Matrix(QQ, tuple(rows))
-        out.append((base, direction))
-    return out
+                rows = list(g.entries)
+                c = draw(st.integers(0, 2))
+                rows[draw(st.integers(0, n - 1))] = tuple(c * e for e in rows[draw(st.integers(0, n - 1))])
+                g = Matrix(QQ, tuple(rows))
+        gs.append(g)
+        if i != j:
+            corrections[i] = direction
+    good = frozenset(i for i, g in enumerate(gs) if i != j and det(g) != 0)
+    return gs, good, j, corrections
 
 
 @settings(max_examples=150, deadline=None)
-@example([(qmat([[-1, 0], [0, -2]]), Matrix.identity(QQ, 2))])
-@example([(qmat([[-1, 0], [0, -2]]), Matrix.identity(QQ, 2)), (qmat([[-3, 0], [0, -4]]), Matrix.identity(QQ, 2))])
-@example([(qmat([[1, 2], [2, 4]]), qmat([[Fraction(1, 2), 0], [0, Fraction(-1, 3)]]))])
-@example([(qmat([[1, 2], [2, 4]]), qmat([[1, 2], [2, 4]]))])
-@given(_conditions())
-def test_integer_scan_matches_determinant_scan(conditions):
-    expected = _det_scan(conditions)
-    with mock.patch.object(rational_solver, "det", _no_det):
-        try:
-            got = choose_correction_scalar(QQ, conditions)
-        except errors.ExhaustedBoundError as exc:
-            got = type(exc)
-    assert got == expected
-    if got is not errors.ExhaustedBoundError:
-        assert type(got) is Fraction
+@example(([_diag(-1, -2), _diag(3, 4)], frozenset({1}), 0, {1: Matrix.identity(QQ, 2)}))
+@example(([_diag(-1, -2), _diag(3, 4), _diag(5, 6)], frozenset({1, 2}), 0,
+          {1: Matrix.identity(QQ, 2), 2: Matrix.identity(QQ, 2)}))
+@example(([qmat([[1, 2], [2, 4]]), Matrix.identity(QQ, 2)], frozenset({1}), 0,
+          {1: qmat([[Fraction(1, 2), 0], [0, Fraction(-1, 3)]])}))
+@example(([qmat([[1, 2], [2, 4]])], frozenset(), 0, {}))
+@given(_correction_steps())
+def test_correction_step_takes_the_first_scalar_of_the_determinant_scan(step):
+    # The reference keeps g_j + x*I and each invertible g_i - x*A_i nonzero;
+    # the step must stop at the same x and return the multipliers it gives.
+    gs, good, j, corrections = step
+    ident = Matrix.identity(QQ, gs[0].rows)
+    conditions = [(gs[j], ident)] + [(gs[i], scaled(corrections[i], Fraction(-1))) for i in sorted(good)]
+    x = _det_scan(conditions)
+    assert x is not errors.ExhaustedBoundError, "the scan bound left no usable scalar"
+    new_gs, good_after = choose_correction_scalar(gs, good, j, corrections)
+    assert new_gs == [
+        g + scaled(ident if i == j else corrections[i], x if i == j else -x) for i, g in enumerate(gs)
+    ]
+    assert good_after == frozenset(i for i, g in enumerate(new_gs) if det(g) != 0)
 
 
 # experimental finite-field mode
@@ -388,7 +418,7 @@ def test_recursive_mode_exhausts_tiny_field():
     gf2 = PrimeField(2)
     ident = Matrix.identity(gf2, 2)
     with pytest.raises(errors.ExhaustedBoundError):
-        choose_correction_scalar(gf2, [(ident, ident)])
+        choose_correction_scalar([ident], frozenset(), 0, {})
 
 
 def test_unsafe_finite_guard_rejects_small_fields():
@@ -429,6 +459,8 @@ def test_unsafe_finite_never_exhausts_at_the_guard(n, m):
                 verify_witness(mats, solve_unsafe_finite(mats))
     if n > 1 and m > 1:  # otherwise the column-pair and n == 1 cases need no correction
         assert corrections, "no instance reached the correction scan"
+    for rec in corrections:
+        assert_correction_invariants(rec)
 
 
 def test_postcondition_checks_survive_optimize_flag():
@@ -452,9 +484,10 @@ def test_postcondition_checks_survive_optimize_flag():
         "except PostconditionError as exc:",
         "    print('PostconditionError:', exc)",
         # The rows of each identity lie in the span of the others, so the
-        # solver corrects; the fresh determinants then find no invertible g.
+        # solver corrects; a step that returns the multipliers unchanged
+        # leaves g_j singular.
         "rs._weighted_sum = weighted_sum",
-        "rs.det = lambda matrix: QQ.zero",
+        "rs.choose_correction_scalar = lambda gs, good, j, corrections: (gs, good)",
         "try:",
         "    rs.solve_rational([Matrix.identity(QQ, 2)] * 3)",
         "except PostconditionError as exc:",
