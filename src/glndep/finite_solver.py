@@ -2,9 +2,13 @@
 
 Each multiplier g_i is constrained to a full-rank subspace H (so nonzero means
 invertible) and written as sum_t c_{i,t} B_t over the basis of H.  The witness
-equation sum_i g_i M_i == 0 then becomes a homogeneous linear system with
-(m+1)n unknowns and only mn equations, so a nonzero kernel vector always
-exists; the canonical first kernel vector makes the output deterministic.
+equation sum_i g_i M_i == 0 then becomes mn homogeneous linear equations.  Any
+mn+1 vectors in an mn-dimensional space are dependent, so only the leading
+mn+1 unknowns (every c_{i,t} for i < m, and c_{m,0}) are solved for.  Padded
+with zeros, their canonical first kernel vector is that of the whole system:
+its free column is at most mn, and the reduced echelon form of leading
+columns is the leading columns of the whole one.  So g_m is a scalar c*I, and
+the output is deterministic.
 
 Only H's modulus f is read: B_t is multiplication by x^t mod f, and
 fullrank._block_columns applies it.  The column of unknown i*n + t is
@@ -24,18 +28,18 @@ def solve_finite(matrices) -> Witness:
     """Witness for k >= m+1 matrices over a finite field.
 
     The first m+1 matrices carry the dependence, with multipliers drawn from
-    the full-rank subspace; any further matrices receive the zero multiplier.
-    Over an infinite field build_fullrank_basis raises InfiniteFieldError.
+    the full-rank subspace and the last of them a scalar c*I; any further
+    matrices receive the zero multiplier.  Over an infinite field
+    build_fullrank_basis raises InfiniteFieldError.
     """
     matrices = list(matrices)
     field, n, m = _check_instance(matrices)
-    head = matrices[: m + 1]
     modulus = build_fullrank_basis(field, n).modulus
 
-    columns = _block_columns(field, modulus, head)
+    columns = _block_columns(field, modulus, matrices[: m + 1])[: m * n + 1]
     kernel = kernel_basis(_trusted(field, tuple(list(zip(*columns)))))
-    errors.check(bool(kernel), f"({m + 1})*{n} unknowns vs {m * n} equations left no kernel vector")
-    coeffs = kernel[0]
+    errors.check(bool(kernel), f"{m * n + 1} unknowns vs {m * n} equations left no kernel vector")
+    coeffs = kernel[0] + (field.zero,) * (n - 1)
     cs = [_trusted(field, tuple([(c,) for c in coeffs[i * n : (i + 1) * n]])) for i in range(m + 1)]
     shifts = _block_columns(field, modulus, cs)
     gs = [_trusted(field, tuple(list(zip(*shifts[i * n : (i + 1) * n])))) for i in range(m + 1)]

@@ -284,7 +284,9 @@ def choose_correction_scalar(gs, good: frozenset, j: int, corrections) -> tuple[
     det(g_i - x * corrections[i]) is det(g_i) != 0 at x = 0 for i in good, so
     each of these len(good) + 1 determinants is a nonzero polynomial of degree
     at most n in x, with at most n nonzero roots.  Each candidate costs one
-    update and one determinant per multiplier.  Raises ExhaustedBoundError
+    update per multiplier and the determinants of the multipliers in good,
+    then of g_j, up to the first that vanishes; only the accepted candidate
+    takes the other multipliers' determinants.  Raises ExhaustedBoundError
     when no candidate is usable, which only a field with fewer nonzero
     elements than the bound allows.
     """
@@ -293,6 +295,8 @@ def choose_correction_scalar(gs, good: frozenset, j: int, corrections) -> tuple[
     zero = field.zero
     ident = Matrix.identity(field, n)
     bound = n * (len(good) + 1) + 1
+    needed = good | {j}
+    order = [*sorted(good), j]
     if field.is_finite:
         candidates = (x for x in field.elements() if x != zero)
     else:
@@ -302,9 +306,8 @@ def choose_correction_scalar(gs, good: frozenset, j: int, corrections) -> tuple[
         new_gs = [
             _add_scaled(g, x, ident) if i == j else _add_scaled(g, neg_x, corrections[i]) for i, g in enumerate(gs)
         ]
-        good_after = frozenset(i for i, g in enumerate(new_gs) if det(g) != zero)
-        if good | {j} <= good_after:
-            return new_gs, good_after
+        if all(det(new_gs[i]) != zero for i in order):
+            return new_gs, needed | frozenset(i for i, g in enumerate(new_gs) if i not in needed and det(g) != zero)
     raise errors.ExhaustedBoundError(
         f"no valid scalar among the first {bound} nonzero ones for {len(good) + 1} determinants of degree <= {n}"
     )

@@ -1,22 +1,23 @@
-"""Mutation run over the witness verifier: every refusal in it must be load-bearing.
+"""Mutation run over the two witness verifiers: every refusal in them must be load-bearing.
 
     python tests/mutation.py
 
 The script needs only the standard library; pytest runs in the child
 processes.  It copies src/, tests/ and
 pyproject.toml to a temporary directory.  For each mutant it rewrites one
-function of that copy's certificate.py and runs TESTS there in a child
-pytest (stopping at the first failure); the mutant is killed when the child
-fails.  Nothing under the checkout is written.
+function of one module of TARGETS in that copy and runs the module's tests
+there in a child pytest (stopping at the first failure); the mutant is killed
+when the child fails.  Nothing under the checkout is written.
 
 Mutants (ast, one change each) inside each region of TARGETS: drop a `raise`
 (it becomes `pass`), flip a comparison operator (== and !=, < and >=, > and
 <=), negate an `if` (statements and comprehension filters).  The regions are
-verify_witness, the trust anchor, and the one claim witness_from_json checks
+the two trust anchors, certificate.verify_witness and
+subspaces.verify_subspace_witness, and the one claim witness_from_json checks
 itself, that an inv-tagged entry is not the zero matrix.
 
 Exit code 0 when every mutant outside EQUIVALENT is killed, 1 when one
-survives, 2 when the unmutated copy already fails TESTS.
+survives, 2 when an unmutated copy already fails a module's tests.
 """
 
 from __future__ import annotations
@@ -30,11 +31,17 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULE = "src/glndep/certificate.py"
-# (function, marker): the whole function when marker is None, else the
-# statements of its body that hold the string constant marker.
-TARGETS = (("verify_witness", None), ("witness_from_json", "singular"))
-TESTS = ("tests/test_certificate.py",)
+# (module, regions, tests).  A region is (function, marker): the whole
+# function when marker is None, else the statements of its body that hold the
+# string constant marker.  A mutant of the module runs the tests.
+TARGETS = (
+    (
+        "src/glndep/certificate.py",
+        (("verify_witness", None), ("witness_from_json", "singular")),
+        ("tests/test_certificate.py",),
+    ),
+    ("src/glndep/subspaces.py", (("verify_subspace_witness", None),), ("tests/test_subspaces.py",)),
+)
 # Mutant label -> the one-line argument that no test can kill it.  Empty:
 # every mutant of the regions above changes what some input gets.
 EQUIVALENT: dict[str, str] = {}
@@ -84,16 +91,17 @@ class _Mutator(ast.NodeTransformer):
         return ast.Pass() if self._site("drop", node) else node
 
 
-def _mutate(source: str, target: int | None) -> tuple[str, list[str]]:
-    """(the module source with mutant target applied, every mutant's label)."""
+def _mutate(source: str, regions, target: int | None) -> tuple[str, list[str]]:
+    """(the module source with mutant target of its regions applied, every
+    mutant's label)."""
     tree = ast.parse(source)
     lines = source.splitlines(keepends=True)
     labels = []
     funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     spans = []
-    for name, marker in TARGETS:
+    for name, marker in regions:
         if name not in funcs:
-            raise SystemExit(f"{MODULE} has no function {name}")
+            raise SystemExit(f"no function {name} to mutate")
         func = funcs[name]
         region = [i for i, stmt in enumerate(func.body) if marker is None or any(
             isinstance(n, ast.Constant) and n.value == marker for n in ast.walk(stmt))]
@@ -113,8 +121,7 @@ def _mutate(source: str, target: int | None) -> tuple[str, list[str]]:
 
 
 def main() -> int:
-    source = (ROOT / MODULE).read_text()
-    _, labels = _mutate(source, None)
+    counts = {"killed": 0, "equivalent": 0, "SURVIVED": 0}
     with tempfile.TemporaryDirectory(prefix="glndep-mutation-") as tmp:
         copy = Path(tmp)
         ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
@@ -124,21 +131,24 @@ def main() -> int:
         # No bytecode: a mutant of the same size written within the same
         # second would otherwise load the previous mutant's cached .pyc.
         env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
-        command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *TESTS]
 
-        def passes() -> bool:
+        def passes(tests) -> bool:
+            command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
             return subprocess.run(command, cwd=copy, env=env, capture_output=True).returncode == 0
 
-        if not passes():
-            print(f"the unmutated copy fails {' '.join(TESTS)}")
-            return 2
-        counts = {"killed": 0, "equivalent": 0, "SURVIVED": 0}
-        for k, label in enumerate(labels):
-            (copy / MODULE).write_text(_mutate(source, k)[0])
-            status = "killed" if not passes() else "equivalent" if label in EQUIVALENT else "SURVIVED"
-            counts[status] += 1
-            print(f"{status:10} {label}", flush=True)
-    print(f"{len(labels)} mutants: " + ", ".join(f"{n} {status.lower()}" for status, n in counts.items()))
+        for module, regions, tests in TARGETS:
+            if not passes(tests):
+                print(f"the unmutated copy fails {' '.join(tests)}")
+                return 2
+            source = (ROOT / module).read_text()
+            _, labels = _mutate(source, regions, None)
+            for k, label in enumerate(labels):
+                (copy / module).write_text(_mutate(source, regions, k)[0])
+                status = "killed" if not passes(tests) else "equivalent" if label in EQUIVALENT else "SURVIVED"
+                counts[status] += 1
+                print(f"{status:10} {label}", flush=True)
+            (copy / module).write_text(source)
+    print(f"{sum(counts.values())} mutants: " + ", ".join(f"{n} {status.lower()}" for status, n in counts.items()))
     return 1 if counts["SURVIVED"] else 0
 
 

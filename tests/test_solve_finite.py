@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import golden_instances, random_matrix
-from glndep import errors
+from glndep import errors, finite_solver
 from glndep.certificate import TAG_INVERTIBLE, verify_witness, witness_to_json
 from glndep.fields import ExtensionField, PrimeField, _poly_mod
 from glndep.fullrank import _block_columns, build_fullrank_basis
@@ -156,21 +156,40 @@ class _CountingGF3(PrimeField):
 
 
 def test_kernel_of_the_block_system_stays_within_its_field_op_count():
-    # The solver's 40 x 45 system for one seeded dense GF(3) instance, n=5, m=8.
-    # A count of field operations measures the elimination's work without
-    # timing noise.  Updating every row over its full length took 92,854;
-    # starting each update at the pivot column takes 52,669.
+    # The 40 x 45 block system of one seeded dense GF(3) instance, n=5, m=8,
+    # and its leading 41 columns, the system the solver eliminates.  A count
+    # of field operations measures the elimination's work without timing
+    # noise.  Updating every row over its full length took 92,854 on the 45
+    # columns; starting each update at the pivot column took 52,669, and
+    # skipping zero pivot-row entries 34,971.  The 41 columns take 29,517.
     rng = random.Random(5)
     n, m = 5, 8
     head = [random_matrix(rng, GF3, n, m) for _ in range(m + 1)]
     basis = build_fullrank_basis(GF3, n).basis
     columns = [tuple(e for row in (b * M).entries for e in row) for M in head for b in basis]
-    entries = tuple(zip(*columns))
-    counting = _CountingGF3()
-    kernel = kernel_basis(Matrix(counting, entries))
-    assert kernel == kernel_basis(Matrix(GF3, entries))
-    assert len(kernel) == 5
-    assert counting.calls <= 52_669
+    for width, bound in ((m + 1) * n, 34_971), (m * n + 1, 29_517):
+        entries = tuple(zip(*columns[:width]))
+        counting = _CountingGF3()
+        kernel = kernel_basis(Matrix(counting, entries))
+        assert kernel == kernel_basis(Matrix(GF3, entries))
+        assert len(kernel) == width - m * n
+        assert counting.calls <= bound
+
+
+@pytest.mark.parametrize("field, n, m", [(GF2, 1, 3), (GF3, 2, 2), (GF4, 3, 1), (GF31, 2, 4)])
+def test_the_solver_eliminates_the_leading_mn_plus_one_columns(monkeypatch, field, n, m):
+    # m*n equations in m*n + 1 unknowns already have a kernel vector, and the
+    # canonical first one of the whole system lies in those columns.
+    shapes = []
+
+    def recorded(matrix):
+        shapes.append((matrix.rows, matrix.cols))
+        return kernel_basis(matrix)
+
+    monkeypatch.setattr(finite_solver, "kernel_basis", recorded)
+    rng = random.Random(n * 10 + m)
+    solve_finite([random_matrix(rng, field, n, m) for _ in range(m + 2)])
+    assert shapes == [(m * n, m * n + 1)]
 
 
 def test_block_system_is_built_within_its_field_op_count():

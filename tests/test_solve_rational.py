@@ -310,6 +310,30 @@ def test_choose_scalar_skips_forbidden_values():
     assert good_after == frozenset({0})
 
 
+def _counted_dets():
+    """(calls, a det that appends each matrix it is given to calls)."""
+    calls = []
+
+    def counted_det(matrix):
+        calls.append(matrix)
+        return det(matrix)
+
+    return calls, counted_det
+
+
+def test_choose_scalar_takes_the_other_determinants_only_at_the_accepted_scalar():
+    # The scan above beside a singular g_1 outside good, which the step need
+    # not repair: x = 1 and x = 2 stop at det(g_0), and x = 3 takes det(g_0),
+    # then det(g_1) for the invertible set.
+    calls, counted_det = _counted_dets()
+    zero = Matrix.zero(QQ, 2, 2)
+    with mock.patch.object(rational_solver, "det", counted_det):
+        new_gs, good_after = choose_correction_scalar([_diag(-1, -2), zero], frozenset(), 0, {1: zero})
+    assert new_gs == [_diag(2, 1), zero]
+    assert good_after == frozenset({0})
+    assert calls == [_diag(0, -1), _diag(1, 0), _diag(2, 1), zero]
+
+
 def test_choose_scalar_respects_scan_bound():
     # g_0 forbids x = 1, 2 and det(diag(3, 4) - x I) forbids 3, 4: the usable
     # x is 5, the last of the n*(|good| + 1) + 1 candidates.
@@ -323,17 +347,12 @@ def test_choose_scalar_respects_scan_bound():
 def test_choose_scalar_stops_at_the_scan_bound():
     # A claimed invertible g_1 that is singular and stays so: no candidate is
     # usable, and the scan gives up after n*(|good| + 1) + 1 of them, each
-    # with one determinant per multiplier.
+    # stopping at the zero determinant of g_1, the first one it takes.
     zero = Matrix.zero(QQ, 2, 2)
-    calls = []
-
-    def counted_det(matrix):
-        calls.append(matrix)
-        return det(matrix)
-
+    calls, counted_det = _counted_dets()
     with mock.patch.object(rational_solver, "det", counted_det), pytest.raises(errors.ExhaustedBoundError):
         choose_correction_scalar([zero, zero], frozenset({1}), 0, {1: zero})
-    assert len(calls) == 2 * (2 * 2 + 1)
+    assert calls == [zero] * (2 * 2 + 1)
 
 
 def _det_scan(conditions):
